@@ -1,8 +1,9 @@
 """Spectral-efficiency limits of dense and one-sparse random spreading.
 
-Closed-form large-system rates for the eight scheme combinations
-(dense / one-sparse spreading, with / without unit-mean Rayleigh
-fading, matched-filter / MMSE / zero-forcing / optimum detection),
+Closed-form large-system rates for the ten supported scheme
+combinations (dense / one-sparse spreading, with / without unit-mean
+Rayleigh fading, matched-filter / MMSE / zero-forcing / optimum
+detection),
 energy-per-bit conversions, the moment combinatorics of the limiting
 spectral laws, and a finite-size Monte Carlo laboratory that
 cross-validates all of it.

@@ -157,7 +157,8 @@ class RateValue:
 class MmseEfficiency:
     """Multiuser efficiency of the dense MMSE receiver under fading.
 
-    ``value`` lies in (max(0, 1 - beta), 1]; ``residual`` is the
+    ``value`` lies in the closed range [max(0, 1 - beta), 1]: an end is
+    returned when the root lies within rounding of it.  ``residual`` is the
     magnitude of the fixed-point equation at the returned value.
     """
 
@@ -408,29 +409,41 @@ def mmse_efficiency_ds_fading(point: ChannelPoint,
     """Multiuser efficiency x of the dense MMSE receiver under fading.
 
     Solves x = 1 - beta + beta * E[1/(1 + x gamma Z)] on
-    (max(0, 1-beta), 1].  A 64-point sign scan certifies a unique
-    crossing first; if the scan sees none or several, FixedPointError is
-    raised rather than silently picking one.
+    [max(0, 1-beta), 1].  The residual x + (beta - 1) - beta * E[...]
+    strictly increases in x, because the expectation falls as x grows;
+    it is negative at the lower end and positive at x = 1.  So the
+    bracket holds exactly one root and Brent's method is started on it
+    directly, with no sign scan.  When rounding gives an end the wrong
+    sign (x = 1 once beta * gamma is below the rounding error of
+    beta - 1), the root lies within rounding of that end and the end
+    is returned.  FixedPointError is raised if the bracket shows no
+    sign change otherwise, as when the residual is not a number.
     """
     beta, gamma = point.beta, point.gamma
     if gamma == 0.0:
         return MmseEfficiency(1.0, 0.0)
+    shift = beta - 1.0
 
     def residual_fn(x: float) -> float:
-        return x - 1.0 + beta * (1.0 - _shrinkage(x * gamma))
+        # x is added to beta - 1 rather than 1 subtracted from x: at
+        # beta = 1 the root can be 1e-49, which x - 1.0 would round away
+        return x + shift - beta * _shrinkage(x * gamma)
 
-    lo = max(0.0, 1.0 - beta)
-    n_scan = 64
-    xs = [lo + (1.0 - lo) * i / n_scan for i in range(n_scan + 1)]
-    hs = [residual_fn(x) for x in xs]
-    flips = [i for i in range(n_scan) if (hs[i] > 0.0) != (hs[i + 1] > 0.0)]
-    if len(flips) != 1:
+    lo = max(0.0, -shift)
+    r_lo = residual_fn(lo)
+    if r_lo >= 0.0:
+        return MmseEfficiency(lo, r_lo)
+    r_hi = residual_fn(1.0)
+    if r_hi <= 0.0:
+        return MmseEfficiency(1.0, -r_hi)
+    if not r_lo < 0.0 < r_hi:
         raise FixedPointError(
-            f"expected one sign change on ({lo}, 1], scan found {len(flips)} "
+            f"no sign change on [{lo}, 1]: residual {r_lo:.3e} and {r_hi:.3e} "
             f"at beta={beta}, gamma={gamma}")
-    i = flips[0]
-    root_tol = Tolerance(rel=1e-14, abs=min(tol.abs, 1e-12), max_evals=tol.max_evals)
-    x = find_root_bracketed(residual_fn, xs[i], xs[i + 1], root_tol)
+    # the width test alone decides: an absolute residual floor would
+    # accept x ~ 1e-12 where the root is x ~ 1e-49
+    root_tol = Tolerance(rel=1e-14, abs=0.0, max_evals=tol.max_evals)
+    x = find_root_bracketed(residual_fn, lo, 1.0, root_tol)
     return MmseEfficiency(x, abs(residual_fn(x)))
 
 

@@ -263,6 +263,35 @@ class TestFindRootBracketed:
         with pytest.raises(DomainError):
             find_root_bracketed(lambda x: x, 0.0, float("inf"))
 
+    @staticmethod
+    def _counted(g):
+        calls = []
+
+        def wrapped(x):
+            calls.append(x)
+            return g(x)
+
+        return wrapped, calls
+
+    def test_smooth_root_converges_superlinearly(self):
+        g, calls = self._counted(lambda x: math.exp(-x) - x)
+        root = find_root_bracketed(g, 0.0, 1.0)
+        assert root == pytest.approx(0.5671432904097838, rel=1e-10)
+        assert len(calls) <= 10
+
+    def test_cubic_on_wide_bracket(self):
+        g, calls = self._counted(lambda x: x ** 3 - 2.0)
+        root = find_root_bracketed(g, 0.0, 10.0)
+        assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-10)
+        assert len(calls) <= 20
+
+    def test_relative_width_alone_resolves_a_tiny_root(self):
+        # with no absolute floor the stop is the bracket width relative
+        # to the root, so a root far below 1e-12 is still found
+        tol = Tolerance(rel=1e-14, abs=0.0)
+        root = find_root_bracketed(lambda x: x - 1e-49, 0.0, 1.0, tol)
+        assert root == pytest.approx(1e-49, rel=1e-14)
+
     def test_eval_cap_raises(self):
         # a step-like function forces pure bisection; 16 evals cannot
         # shrink [0, 1] to the requested relative width

@@ -3,14 +3,16 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noma_limits.errors import (
     DegenerateRateError,
     DomainError,
     NoSolutionError,
+    NomaLimitsError,
     UnsupportedSchemeError,
 )
-from noma_limits.numerics import Tolerance, exp_integral_en_scaled
+from noma_limits.numerics import DEFAULT_TOLERANCE, Tolerance, exp_integral_en_scaled
 from noma_limits.rates import (
     LN2,
     ChannelPoint,
@@ -334,6 +336,64 @@ class TestMmseEfficiency:
         opt = opt_se_ds_fading(point).bits_per_dim
         assert opt >= mmse
         assert opt == pytest.approx(mmse, abs=1e-10)
+
+
+    # mpmath values at 40 digits, from the benchmark's independent oracle
+    @pytest.mark.parametrize("name, beta, gamma, expected", [
+        ("ds-mmse-fading", 0.1, 1e100, 33.120806021801435),
+        ("ds-mmse-fading", 0.1, 1e300, 99.55936791954868),
+        ("ds-opt-fading", 0.1, 1e100, 33.128539611157585),
+        ("ds-opt-fading", 0.1, 1e300, 99.56710150890484),
+    ])
+    def test_root_at_rounded_lower_end(self, name, beta, gamma, expected):
+        # the root lies within rounding of x = 1 - beta, where a residual
+        # written as x - 1 + beta * (1 - E) rounds positive and leaves no
+        # sign change; the rate must come out, not a FixedPointError
+        rate = spectral_efficiency(SchemeSpec.parse(name), ChannelPoint(beta, gamma))
+        assert rate.bits_per_dim == pytest.approx(expected, rel=1e-10)
+
+    def test_root_at_rounded_upper_end(self):
+        # beta * gamma ~ 4e-18 is below the rounding of beta - 1, so the
+        # residual at x = 1 rounds negative; the root is within 4e-18 of 1
+        point = ChannelPoint(3.656964017422588e-06, 1.0321711517116266e-12)
+        assert mmse_efficiency_ds_fading(point).value == pytest.approx(1.0, abs=1e-15)
+        for fn in (mmse_se_ds_fading, opt_se_ds_fading):
+            assert fn(point).bits_per_dim == pytest.approx(5.4456151124756891e-18, rel=1e-10)
+
+    @pytest.mark.parametrize("name, gamma, expected", [
+        ("ds-mmse-fading", 1e8, 14.099885970636537),
+        ("ds-mmse-fading", 1e100, 168.69842673513455),
+        ("ds-mmse-fading", 1e300, 501.677392927966),
+        ("ds-opt-fading", 1e8, 24.30093171995191),
+        ("ds-opt-fading", 1e100, 329.9173682705704),
+        ("ds-opt-fading", 1e300, 994.3029872480429),
+    ])
+    def test_tiny_root_at_unit_load(self, name, gamma, expected):
+        # at beta = 1 the efficiency falls to ~1e-49 (gamma = 1e100),
+        # far below any absolute residual floor
+        rate = spectral_efficiency(SchemeSpec.parse(name), ChannelPoint(1.0, gamma))
+        assert rate.bits_per_dim == pytest.approx(expected, rel=1e-10)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(log_beta=st.floats(-3.0, 3.0), log_gamma=st.floats(-12.0, 300.0))
+    def test_fixed_point_over_the_whole_domain(self, log_beta, log_gamma):
+        beta, gamma = 10.0 ** log_beta, 10.0 ** log_gamma
+        try:
+            eff = mmse_efficiency_ds_fading(ChannelPoint(beta, gamma))
+            rates = {
+                name: [spectral_efficiency(SchemeSpec.parse(name), ChannelPoint(beta, g))
+                       .bits_per_dim for g in (gamma / 1e3, gamma)]
+                for name in ("ds-mmse-fading", "ds-opt-fading")}
+        except NomaLimitsError:
+            return  # a typed refusal is allowed; a wrong value is not
+        x = eff.value
+        assert max(0.0, 1.0 - beta) <= x <= 1.0
+        shrinkage = exp_integral_en_scaled(1, 1.0 / (x * gamma)) / (x * gamma)
+        residual = x + (beta - 1.0) - beta * shrinkage
+        assert abs(residual) <= 1e-12 * max(1.0, 1.0 / x)
+        for lower, upper in rates.values():
+            # flat at high SNR for beta > 1, so allow the default tolerance
+            assert upper >= lower - DEFAULT_TOLERANCE.target(lower)
 
 
 # ----------------------------------------------------------------------
