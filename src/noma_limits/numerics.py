@@ -326,6 +326,12 @@ def integrate_semi_infinite(f: Callable[[float], float],
 # Poisson-weighted series
 # ----------------------------------------------------------------------
 
+def _lower_tail_bound(beta: float, log_beta: float, m: int, growth: float) -> float:
+    # P[K <= m] <= e^(-beta) (e beta / m)^m for m < beta, times the
+    # largest certified |term(k)| over k <= m; increases with m below beta
+    return math.exp(-beta + m * (1.0 + log_beta - math.log(m))) * growth * math.log(2.0 + m)
+
+
 def poisson_weighted_sum(beta: float, term: Callable[[int], float],
                          term_growth_bound: float,
                          tol: Tolerance = DEFAULT_TOLERANCE,
@@ -333,20 +339,35 @@ def poisson_weighted_sum(beta: float, term: Callable[[int], float],
     """Sum of e^(-beta) beta^k / k! * term(k) over k >= 1.
 
     The caller certifies |term(k)| <= term_growth_bound * log(2 + k).
-    Truncation stops once a Chernoff bound on the Poisson tail mass,
-    multiplied by a geometric-envelope bound on the remaining weighted
-    terms, falls below ``tol.abs``.
+    Only a window around the mode is summed, so the cost grows like
+    sqrt(beta) rather than beta.  The terms k <= m below the mode are
+    skipped for the largest m < beta whose Chernoff bound on P[K <= m],
+    times the largest term below it, is at most ``tol.abs / 2``; m is
+    found by bisection, as the bound increases with m.  Summation stops
+    once a Chernoff bound on the upper tail mass, multiplied by a
+    geometric-envelope bound on the remaining weighted terms, falls
+    below the other half of ``tol.abs``.  ``hard_cap`` limits the number
+    of terms summed.
     """
     _require_positive_finite("beta", beta)
     if not (isinstance(term_growth_bound, (int, float))
             and math.isfinite(term_growth_bound) and term_growth_bound >= 0):
         raise DomainError(f"term_growth_bound must be nonnegative, got {term_growth_bound!r}")
     log_beta = math.log(beta)
+    tail_tol = 0.5 * tol.abs
+    # largest m < beta with a skippable lower tail; 0 skips nothing
+    lo, hi = 0, math.ceil(beta) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _lower_tail_bound(beta, log_beta, mid, term_growth_bound) <= tail_tol:
+            lo = mid
+        else:
+            hi = mid - 1
     total = 0.0
-    k = 0
+    k = lo
     while True:
         k += 1
-        if k > hard_cap:
+        if k - lo > hard_cap:
             raise NonConvergenceError(
                 f"Poisson series at load {beta} still above tolerance after {hard_cap} terms")
         weight = math.exp(-beta + k * log_beta - math.lgamma(k + 1.0))
@@ -358,7 +379,7 @@ def poisson_weighted_sum(beta: float, term: Callable[[int], float],
         chernoff = math.exp(-beta + nxt * (1.0 + log_beta - math.log(nxt)))
         r = beta / (nxt + 1.0)
         envelope = term_growth_bound * (math.log(2.0 + nxt) / (1.0 - r) + r / (1.0 - r) ** 2)
-        if chernoff * envelope <= tol.abs:
+        if chernoff * envelope <= tail_tol:
             return total
 
 

@@ -16,7 +16,9 @@ level, whose universal minimum is ln 2.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -240,6 +242,24 @@ def sumf_rate_lds_fading_unit_form(point: ChannelPoint,
     return RateValue(scale * value, scale * err)
 
 
+def _scaled_en_orders(z: float) -> Iterator[float]:
+    """e^z E_q(z) for q = 1, 2, ...
+
+    Once q - 1 >= z each order comes from the one before it through
+    E_q = (e^-z - z E_(q-1)) / (q - 1) (Abramowitz & Stegun 5.1.14):
+    a step scales the inherited error by z/(q - 1) <= 1, and
+    1 - z e^z E_(q-1) stays above 0.4, so nothing cancels.  Lower
+    orders, where the recurrence would amplify rounding, are evaluated
+    directly.
+    """
+    e = 0.0
+    q = 1
+    while True:
+        e = (1.0 - z * e) / (q - 1) if q - 1 >= z else exp_integral_en_scaled(q, z)
+        yield e
+        q += 1
+
+
 def opt_se_lds_fading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE,
                       inner: str = "closed") -> RateValue:
     """Optimum-decoding spectral efficiency under sparse spreading and fading.
@@ -258,14 +278,12 @@ def opt_se_lds_fading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE,
     if gamma == 0.0:
         return _zero_rate()
     if inner == "closed":
-        z = 1.0 / gamma
+        sums = itertools.accumulate(_scaled_en_orders(1.0 / gamma))
         cumulative: list[float] = []
 
         def term(k: int) -> float:
             while len(cumulative) < k:
-                q = len(cumulative) + 1
-                prev = cumulative[-1] if cumulative else 0.0
-                cumulative.append(prev + exp_integral_en_scaled(q, z))
+                cumulative.append(next(sums))
             return cumulative[k - 1] / LN2
 
     elif inner == "quadrature":
@@ -368,16 +386,25 @@ def f_transform(x: float, z: float) -> float:
     return ratio * ratio
 
 
+def _mmse_sinr(gamma: float, b: float) -> float:
+    """gamma - F(gamma, beta)/4 for b = 1 + (beta - 1) gamma: the MMSE
+    SINR, i.e. the positive root of s^2 + b s - gamma = 0 (Tse & Hanly,
+    1999).  The root is taken in whichever form adds terms of one sign,
+    so nothing cancels at any SNR; hypot keeps b^2 from overflowing."""
+    r = math.hypot(b, 2.0 * math.sqrt(gamma))
+    return 2.0 * gamma / (b + r) if b >= 0.0 else 0.5 * (r - b)
+
+
 def opt_se_ds_nofading(point: ChannelPoint) -> RateValue:
     """Optimum-decoding spectral efficiency of dense random spreading
     with unit gains (the classic square-root-law closed form)."""
     beta, gamma = point.beta, point.gamma
     if gamma == 0.0:
         return _zero_rate()
-    quarter = f_transform(gamma, beta) / 4.0
-    value = (beta * math.log1p(gamma - quarter)
-             + math.log1p(beta * gamma - quarter)
-             - quarter / gamma) / LN2
+    # beta gamma - F/4 is the same root with (gamma, beta) -> (beta gamma, 1/beta)
+    value = (beta * math.log1p(_mmse_sinr(gamma, 1.0 + (beta - 1.0) * gamma))
+             + math.log1p(_mmse_sinr(beta * gamma, 1.0 + (1.0 - beta) * gamma))
+             - f_transform(gamma, beta) / (4.0 * gamma)) / LN2
     return RateValue(max(0.0, value), 8.0 * 2.220446049250313e-16 * abs(value))
 
 
@@ -387,8 +414,7 @@ def mmse_se_ds_nofading(point: ChannelPoint) -> RateValue:
     beta, gamma = point.beta, point.gamma
     if gamma == 0.0:
         return _zero_rate()
-    quarter = f_transform(gamma, beta) / 4.0
-    value = beta * math.log1p(gamma - quarter) / LN2
+    value = beta * math.log1p(_mmse_sinr(gamma, 1.0 + (beta - 1.0) * gamma)) / LN2
     return RateValue(max(0.0, value), 8.0 * 2.220446049250313e-16 * abs(value))
 
 

@@ -213,6 +213,29 @@ class TestPoissonWeightedSum:
         assert value == pytest.approx(3.0, rel=1e-12)
         assert value == pytest.approx(brute, rel=1e-13)
 
+    def test_window_around_the_mode_at_large_load(self):
+        beta = 1e4
+        seen = []
+
+        def term(k):
+            seen.append(k)
+            return math.log1p(k)  # |log(1 + k)| <= 1.0 * log(2 + k)
+
+        value = poisson_weighted_sum(beta, term, 1.0)
+        # every k >= 1; the weights past k = 20000 are below 1e-300
+        brute = math.fsum(
+            math.exp(-beta + k * math.log(beta) - math.lgamma(k + 1.0)) * math.log1p(k)
+            for k in range(1, 20_001))
+        assert len(seen) < 3000
+        assert seen == list(range(seen[0], seen[0] + len(seen)))
+        assert value == pytest.approx(brute, rel=1e-13, abs=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 30.0])
+    def test_small_loads_start_at_one(self, beta):
+        seen = []
+        poisson_weighted_sum(beta, lambda k: seen.append(k) or 1.0, 1.0)
+        assert seen[0] == 1
+
     def test_hard_cap_raises(self):
         with pytest.raises(NonConvergenceError):
             poisson_weighted_sum(50.0, lambda k: 1.0, 1.0,

@@ -1,6 +1,8 @@
 """Closed-form rate formulas, asymptotic anchors, and conversions."""
 
+import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from noma_limits.errors import (
 from noma_limits.numerics import DEFAULT_TOLERANCE, Tolerance, exp_integral_en_scaled
 from noma_limits.rates import (
     LN2,
+    _scaled_en_orders,
     ChannelPoint,
     Detector,
     Fading,
@@ -203,6 +206,39 @@ class TestRepresentations:
         with pytest.raises(DomainError):
             opt_se_lds_fading(ChannelPoint(1.0, 1.0), inner="magic")
 
+    @pytest.mark.parametrize("z", [1e-12, 1e-3, 0.5, 1.0, 3.0, 300.0, 1e4])
+    def test_recurrence_built_orders_match_direct_evaluation(self, z):
+        orders = itertools.islice(_scaled_en_orders(z), 2000)
+        for q, e in enumerate(orders, start=1):
+            assert e == pytest.approx(exp_integral_en_scaled(q, z), rel=1e-13), q
+
+
+# ----------------------------------------------------------------------
+# Sparse spreading at the largest stated load
+# ----------------------------------------------------------------------
+
+class TestLoadTenThousand:
+    # mpmath at 250 digits: Poisson sums over k in beta +- 40 sqrt(beta);
+    # for lds-opt-fading the inner sums of e^z E_q(z), z = 0.1, come from
+    # the upward recurrence, which is stable at that z
+    @pytest.mark.parametrize("name, gamma, expected", [
+        ("lds-opt-nofading", 10.0, 16.609582761993692268),
+        ("lds-opt-nofading", 1e8, 39.863064997885434905),
+        ("lds-sumf-nofading", 10.0, 1.4427527579743818795),
+        ("lds-sumf-nofading", 1e8, 1.4427671876652708174),
+        ("lds-mmse-nofading", 10.0, 1.4427527579743818795),
+        ("lds-zf-nofading", 10.0, 1.4427527579743818795),
+        ("lds-opt-fading", 10.0, 16.609510620267373536),
+    ])
+    def test_matches_mpmath_quickly(self, name, gamma, expected):
+        scheme, point = SchemeSpec.parse(name), ChannelPoint(1e4, gamma)
+        t0 = time.perf_counter()
+        rate = spectral_efficiency(scheme, point).bits_per_dim
+        elapsed = time.perf_counter() - t0
+        assert rate == pytest.approx(expected, rel=1e-10)
+        # the series sums a window of ~1600 terms around the mode, not 1e4
+        assert elapsed < 0.1
+
 
 # ----------------------------------------------------------------------
 # Structural properties
@@ -292,6 +328,25 @@ class TestDenseNoFading:
         assert mmse_se_ds_nofading(point).bits_per_dim == pytest.approx(1.0, abs=1e-12)
         assert opt_se_ds_nofading(point).bits_per_dim == pytest.approx(
             2.0 - 1.0 / (2.0 * LN2), abs=1e-12)
+
+    # mpmath at 250 digits; ds-opt-nofading at beta = 0.1 also matches
+    # beta * E[log2(1 + gamma L)] over the Marchenko-Pastur law of L
+    @pytest.mark.parametrize("fn, beta, gamma, expected", [
+        (opt_se_ds_nofading, 0.1, 1e100, 33.211814228885273970),
+        (mmse_se_ds_nofading, 2.0, 1e15, 1.9999999999999971146),
+    ])
+    def test_high_snr_without_cancellation(self, fn, beta, gamma, expected):
+        # the plain differences gamma - F/4 and beta gamma - F/4 lose every digit here
+        assert fn(ChannelPoint(beta, gamma)).bits_per_dim == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("fn", [mmse_se_ds_nofading, opt_se_ds_nofading])
+    def test_rate_does_not_fall_with_snr_at_high_load(self, fn):
+        gammas = [10.0 ** (e / 4) for e in range(-12, 1201)]
+        rates = [fn(ChannelPoint(5000.0, g)).bits_per_dim for g in gammas]
+        for g, lower, upper in zip(gammas[1:], rates, rates[1:]):
+            # the MMSE rate saturates at beta log2(1 + 1/(beta - 1)):
+            # allow rounding of the last few bits there, nothing more
+            assert upper >= lower * (1.0 - 1e-14), g
 
     def test_tiny_snr_stays_nonnegative(self):
         # the cancellation-free form keeps the rate positive where the
