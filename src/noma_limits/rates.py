@@ -16,6 +16,7 @@ level, whose universal minimum is ln 2.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterator
@@ -444,18 +445,39 @@ def mmse_efficiency_ds_fading(point: ChannelPoint,
     beta - 1), the root lies within rounding of that end and the end
     is returned.  FixedPointError is raised if the bracket shows no
     sign change otherwise, as when the residual is not a number.
+
+    Brent's method is first tried on a bracket within a factor of about
+    beta * ln(gamma) of the root, because at beta >= 1 and huge gamma
+    the root lies hundreds of decades below 1.  Its lower end is the
+    no-fading efficiency, a lower bound by Jensen's inequality.  Its
+    upper end is the positive root of x^2 + (beta - 1) x =
+    beta ln(1 + gamma)/gamma, an upper bound since
+    e^z E_1(z) < ln(1 + 1/z).  The full bracket is used whenever the
+    computed residuals at those ends do not straddle zero.
     """
     beta, gamma = point.beta, point.gamma
     if gamma == 0.0:
         return MmseEfficiency(1.0, 0.0)
     shift = beta - 1.0
 
+    # cached because Brent evaluates the bracket ends again, and its
+    # returned root is one of the points it has already evaluated
+    @functools.lru_cache(maxsize=None)
     def residual_fn(x: float) -> float:
         # x is added to beta - 1 rather than 1 subtracted from x: at
         # beta = 1 the root can be 1e-49, which x - 1.0 would round away
         return x + shift - beta * _shrinkage(x * gamma)
 
+    # the width test alone decides: an absolute residual floor would
+    # accept x ~ 1e-12 where the root is x ~ 1e-49
+    root_tol = Tolerance(rel=1e-14, abs=0.0, max_evals=tol.max_evals)
     lo = max(0.0, -shift)
+    tight_lo = max(lo, _mmse_sinr(gamma, 1.0 + shift * gamma) / gamma)
+    tight_hi = min(1.0, _mmse_sinr(beta * math.log1p(gamma) / gamma, shift))
+    if (math.isfinite(tight_lo) and math.isfinite(tight_hi) and tight_lo < tight_hi
+            and residual_fn(tight_lo) < 0.0 < residual_fn(tight_hi)):
+        x = find_root_bracketed(residual_fn, tight_lo, tight_hi, root_tol)
+        return MmseEfficiency(x, abs(residual_fn(x)))
     r_lo = residual_fn(lo)
     if r_lo >= 0.0:
         return MmseEfficiency(lo, r_lo)
@@ -466,9 +488,6 @@ def mmse_efficiency_ds_fading(point: ChannelPoint,
         raise FixedPointError(
             f"no sign change on [{lo}, 1]: residual {r_lo:.3e} and {r_hi:.3e} "
             f"at beta={beta}, gamma={gamma}")
-    # the width test alone decides: an absolute residual floor would
-    # accept x ~ 1e-12 where the root is x ~ 1e-49
-    root_tol = Tolerance(rel=1e-14, abs=0.0, max_evals=tol.max_evals)
     x = find_root_bracketed(residual_fn, lo, 1.0, root_tol)
     return MmseEfficiency(x, abs(residual_fn(x)))
 

@@ -7,7 +7,10 @@ import pytest
 
 from noma_limits.combinatorics import EnsembleKind, exact_moments
 from noma_limits.ensemble_lab import (
+    _STREAM_DS,
     GramDiagonal,
+    _generator,
+    _logdet_capacity,
     LsdMixture,
     SystemDraw,
     draw_system,
@@ -156,6 +159,15 @@ class TestEmpiricalMoments:
                 for i in range(12)]
             variances.append(float(np.var(thirds)))
         assert variances[0] > variances[1] > variances[2]
+
+    def test_pairwise_sums_match_exact_sums(self):
+        gram = gram_diagonal(draw_system(100_000, 150_000, 77))
+        values = empirical_moments(gram, 4).values
+        power = np.ones_like(gram.values)
+        for order in range(4):
+            power = power * gram.values
+            exact = math.fsum(power.tolist()) / gram.n_dims
+            assert values[order] == pytest.approx(exact, rel=1e-14, abs=0.0)
 
     def test_rejects_bad_order(self):
         gram = GramDiagonal(values=np.ones(4))
@@ -342,6 +354,52 @@ class TestMcDsFadingLogdet:
             mc_ds_fading_logdet(4096, 1.0, 1.0, 2, 0)
         with pytest.raises(DomainError):
             mc_ds_fading_logdet(16, 1.0, 1.0, 2, 0, entries="ternary")
+
+    @pytest.mark.parametrize("n_dims, n_users", [(1, 1), (8, 4), (8, 8), (8, 16), (64, 32)])
+    def test_logdet_matches_complex_slogdet(self, n_dims, n_users):
+        # reference: the complex B = S diag(h) and a general log-det,
+        # with neither the real Gram nor the smaller side
+        rng = np.random.Generator(np.random.Philox(key=[n_dims, n_users]))
+        s = rng.standard_normal((n_dims, n_users)) / math.sqrt(n_dims)
+        h = (rng.standard_normal(n_users) + 1j * rng.standard_normal(n_users)) / math.sqrt(2.0)
+        b = s * h[None, :]
+        for gamma in (0.1, 10.0, 1e4):
+            sign, logdet = np.linalg.slogdet(np.eye(n_dims) + gamma * (b @ b.conj().T))
+            assert sign.real == pytest.approx(1.0, abs=1e-12)
+            expected = logdet / (n_dims * LN2)
+            got = _logdet_capacity(s, np.abs(h) ** 2, gamma)
+            assert got == pytest.approx(expected, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    def test_estimate_matches_complex_route_on_the_same_draws(self, beta):
+        # per trial: binary S, then the real and imaginary fading parts
+        n_dims, n_trials, seed, gamma = 32, 20, 9, 10.0
+        n_users = round(beta * n_dims)
+        vals = []
+        for trial in range(n_trials):
+            rng = _generator(seed, _STREAM_DS, trial)
+            s = (rng.integers(0, 2, size=(n_dims, n_users)) * 2.0 - 1.0) / math.sqrt(n_dims)
+            h = (rng.standard_normal(n_users) + 1j * rng.standard_normal(n_users)) / math.sqrt(2.0)
+            b = s * h[None, :]
+            vals.append(np.linalg.slogdet(np.eye(n_dims) + gamma * (b @ b.conj().T))[1]
+                        / (n_dims * LN2))
+        est = mc_ds_fading_logdet(n_dims, beta, gamma, n_trials, seed)
+        assert est.mean == pytest.approx(np.mean(vals), rel=0.0, abs=1e-13)
+        assert est.std_error == pytest.approx(
+            np.std(vals, ddof=1) / math.sqrt(n_trials), rel=0.0, abs=1e-13)
+
+    def test_factors_the_gram_on_the_smaller_side(self, monkeypatch):
+        shapes = []
+        cholesky = np.linalg.cholesky
+
+        def recording(matrix):
+            shapes.append(matrix.shape)
+            return cholesky(matrix)
+
+        monkeypatch.setattr(np.linalg, "cholesky", recording)
+        mc_ds_fading_logdet(16, 0.5, 10.0, 2, 0)
+        mc_ds_fading_logdet(16, 2.0, 10.0, 2, 0)
+        assert shapes == [(8, 8), (8, 8), (16, 16), (16, 16)]
 
     def test_factorization_failure_is_reported_not_retried(self, monkeypatch):
         calls = {"n": 0}

@@ -429,6 +429,23 @@ class TestMmseEfficiency:
         rate = spectral_efficiency(SchemeSpec.parse(name), ChannelPoint(1.0, gamma))
         assert rate.bits_per_dim == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize("beta, gamma", itertools.product(
+        (1.0, 1.01, 1.1, 2.0, 3.16), (1e50, 1e100, 1e300)))
+    def test_huge_snr_root_is_found_in_few_evaluations(self, monkeypatch, beta, gamma):
+        # the root sits hundreds of decades below x = 1; the Jensen and
+        # e^z E_1(z) < ln(1 + 1/z) bounds bracket it within a factor of
+        # about beta ln(gamma), where the full bracket took up to 1000 calls
+        calls = []
+
+        def counting(n, x):
+            calls.append(x)
+            return exp_integral_en_scaled(n, x)
+
+        monkeypatch.setattr("noma_limits.rates.exp_integral_en_scaled", counting)
+        eff = mmse_efficiency_ds_fading(ChannelPoint(beta, gamma))
+        assert 0.0 < eff.value < 1e-10
+        assert len(calls) <= 30
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(log_beta=st.floats(-3.0, 3.0), log_gamma=st.floats(-12.0, 300.0))
     def test_fixed_point_over_the_whole_domain(self, log_beta, log_gamma):
