@@ -57,6 +57,7 @@ __all__ = [
     "opt_se_lds_nofading",
     "opt_se_lds_fading",
     "opt_se_lds_fading_alt",
+    "opt_se_lds_fading_erlang",
     "f_transform",
     "opt_se_ds_nofading",
     "mmse_se_ds_nofading",
@@ -169,8 +170,17 @@ class MmseEfficiency:
     residual: float
 
 
-def _zero_rate() -> RateValue:
-    return RateValue(0.0, 0.0)
+def _first_order_exact(point: ChannelPoint) -> bool:
+    # every rate is beta gamma/ln2 * (1 - (beta/S0) gamma + O(gamma^2)),
+    # with S0 its wideband slope, and beta/S0 <= 1 + 2 beta for every
+    # supported scheme; so below this the first-order term is the rate to
+    # double precision, and 1/gamma, which some routes form, can overflow
+    return (1.0 + 2.0 * point.beta) * point.gamma < 1e-17
+
+
+def _first_order_rate(point: ChannelPoint, tol: Tolerance) -> RateValue:
+    value = point.beta * point.gamma / LN2  # exactly zero at zero SNR
+    return RateValue(value, tol.rel * value)
 
 
 def _log_growth_bound(gamma: float) -> float:
@@ -189,25 +199,29 @@ def sumf_rate_lds_fading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE
     beta/ln2 times the integral over z >= 0 of
     exp(-z/gamma) * exp(-beta z/(1+z)) / (1+z): the outer exponential is
     the fading mixture of the useful power, the inner factor is the
-    collision interference averaged over occupancy and fading.
+    collision interference averaged over occupancy and fading.  With
+    u = 1 + z and e^(beta/u) expanded in powers, it is the series
+    beta/ln2 * sum over m >= 0 of Pois(beta; m) e^x E_(m+1)(x), x = 1/gamma,
+    a mixture over the number m of users colliding with this one.
     """
     beta, gamma = point.beta, point.gamma
-    if gamma == 0.0:
-        return _zero_rate()
+    if _first_order_exact(point):
+        return _first_order_rate(point, tol)
+    x = 1.0 / gamma
+    orders: Iterator[float] | None = None
 
-    # integrate in w = z/gamma: the useful-power factor exp(-w) then has
-    # unit width for every SNR, so the quadrature never faces a spike
-    # narrower than its panels
-    def integrand(w: float) -> float:
-        z = gamma * w
-        ex = -w - beta * z / (1.0 + z)
-        if ex < _EXP_FLOOR:
-            return 0.0
-        return math.exp(ex) * gamma / (1.0 + z)
+    def term(m: int) -> float:
+        nonlocal orders
+        if orders is None:  # the window's first m; the rest follow in order
+            orders = _scaled_en_orders(x, first=m + 1)
+        return next(orders)
 
-    q = integrate_semi_infinite(integrand, tol)
-    scale = beta / LN2
-    return RateValue(scale * q.value, scale * q.err_estimate)
+    # the terms are at most 1; the sum is scaled by beta/ln2 afterwards
+    inner_tol = Tolerance(rel=tol.rel, abs=min(1.0, tol.abs * LN2 / beta),
+                          max_evals=tol.max_evals)
+    collided = poisson_weighted_sum(beta, term, 1.0, inner_tol)
+    value = beta / LN2 * (math.exp(-beta) * exp_integral_en_scaled(1, x) + collided)
+    return RateValue(value, tol.abs + tol.rel * value)
 
 
 def sumf_rate_lds_fading_unit_form(point: ChannelPoint,
@@ -219,8 +233,8 @@ def sumf_rate_lds_fading_unit_form(point: ChannelPoint,
     must agree to within their combined error estimates.
     """
     beta, gamma = point.beta, point.gamma
-    if gamma == 0.0:
-        return _zero_rate()
+    if _first_order_exact(point):
+        return _first_order_rate(point, tol)
 
     def integrand(t: float) -> float:
         u = 1.0 - t
@@ -243,68 +257,70 @@ def sumf_rate_lds_fading_unit_form(point: ChannelPoint,
     return RateValue(scale * value, scale * err)
 
 
-def _scaled_en_orders(z: float) -> Iterator[float]:
-    """e^z E_q(z) for q = 1, 2, ...
+def _scaled_en_orders(z: float, first: int = 1) -> Iterator[float]:
+    """e^z E_q(z) for q = first, first + 1, ...
 
     Once q - 1 >= z each order comes from the one before it through
     E_q = (e^-z - z E_(q-1)) / (q - 1) (Abramowitz & Stegun 5.1.14):
     a step scales the inherited error by z/(q - 1) <= 1, and
-    1 - z e^z E_(q-1) stays above 0.4, so nothing cancels.  Lower
-    orders, where the recurrence would amplify rounding, are evaluated
-    directly.
+    1 - z e^z E_(q-1) stays above 0.4, so nothing cancels.  The first
+    order, and lower ones where the recurrence would amplify rounding,
+    are evaluated directly.
     """
-    e = 0.0
-    q = 1
+    q = first
+    e = exp_integral_en_scaled(q, z)
     while True:
-        e = (1.0 - z * e) / (q - 1) if q - 1 >= z else exp_integral_en_scaled(q, z)
         yield e
         q += 1
+        e = (1.0 - z * e) / (q - 1) if q - 1 >= z else exp_integral_en_scaled(q, z)
 
 
-def opt_se_lds_fading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE,
-                      inner: str = "closed") -> RateValue:
+def opt_se_lds_fading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> RateValue:
     """Optimum-decoding spectral efficiency under sparse spreading and fading.
 
     Dimensions decouple in the large-system limit: a dimension hit by k
     users sees a unit-rate Erlang-k received power, so the rate is the
-    Poisson(beta) mixture over k >= 1 of E[log2(1 + gamma * X_k)].
-
-    ``inner`` selects how that expectation is computed: ``"closed"``
-    (default) uses the exact cumulative-sum identity
-    E[ln(1 + gamma X_k)] = sum_{q=1..k} e^z E_q(z) at z = 1/gamma;
-    ``"quadrature"`` integrates the Erlang density directly and exists
-    so the identity can be checked rather than trusted.
+    Poisson(beta) mixture over k >= 1 of E[log2(1 + gamma * X_k)].  That
+    expectation is the cumulative sum
+    E[ln(1 + gamma X_k)] = sum_{q=1..k} e^z E_q(z) at z = 1/gamma.
     """
     beta, gamma = point.beta, point.gamma
-    if gamma == 0.0:
-        return _zero_rate()
-    if inner == "closed":
-        sums = itertools.accumulate(_scaled_en_orders(1.0 / gamma))
-        cumulative: list[float] = []
+    if _first_order_exact(point):
+        return _first_order_rate(point, tol)
+    sums = itertools.accumulate(_scaled_en_orders(1.0 / gamma))
+    cumulative: list[float] = []
 
-        def term(k: int) -> float:
-            while len(cumulative) < k:
-                cumulative.append(next(sums))
-            return cumulative[k - 1] / LN2
+    def term(k: int) -> float:
+        while len(cumulative) < k:
+            cumulative.append(next(sums))
+        return cumulative[k - 1] / LN2
 
-    elif inner == "quadrature":
-        inner_tol = Tolerance(rel=tol.rel, abs=min(tol.abs, 1e-13), max_evals=tol.max_evals)
+    value = poisson_weighted_sum(beta, term, _log_growth_bound(gamma), tol)
+    return RateValue(value, tol.abs + tol.rel * value)
 
-        def term(k: int) -> float:
-            lg = math.lgamma(k)
 
-            def density_weighted_log(lam: float) -> float:
-                if lam <= 0.0:
-                    return 0.0
-                ex = (k - 1) * math.log(lam) - lam - lg
-                if ex < _EXP_FLOOR:
-                    return 0.0
-                return math.exp(ex) * math.log1p(gamma * lam)
+def opt_se_lds_fading_erlang(point: ChannelPoint,
+                             tol: Tolerance = DEFAULT_TOLERANCE) -> RateValue:
+    """The same optimum-decoding rate with each Erlang expectation
+    integrated against its density, so the cumulative-sum identity of
+    :func:`opt_se_lds_fading` is checked rather than trusted."""
+    beta, gamma = point.beta, point.gamma
+    if _first_order_exact(point):
+        return _first_order_rate(point, tol)
+    inner_tol = Tolerance(rel=tol.rel, abs=min(tol.abs, 1e-13), max_evals=tol.max_evals)
 
-            return integrate_semi_infinite(density_weighted_log, inner_tol).value / LN2
+    def term(k: int) -> float:
+        lg = math.lgamma(k)
 
-    else:
-        raise DomainError(f"inner must be 'closed' or 'quadrature', got {inner!r}")
+        def density_weighted_log(lam: float) -> float:
+            if lam <= 0.0:
+                return 0.0
+            ex = (k - 1) * math.log(lam) - lam - lg
+            if ex < _EXP_FLOOR:
+                return 0.0
+            return math.exp(ex) * math.log1p(gamma * lam)
+
+        return integrate_semi_infinite(density_weighted_log, inner_tol).value / LN2
 
     value = poisson_weighted_sum(beta, term, _log_growth_bound(gamma), tol)
     return RateValue(value, tol.abs + tol.rel * value)
@@ -319,8 +335,8 @@ def opt_se_lds_fading_alt(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANC
     mixture-of-logs route, which is the point: the two must agree.
     """
     beta, gamma = point.beta, point.gamma
-    if gamma == 0.0:
-        return _zero_rate()
+    if _first_order_exact(point):
+        return _first_order_rate(point, tol)
     inner_tol = Tolerance(rel=tol.rel, abs=min(tol.abs, 1e-13), max_evals=tol.max_evals)
 
     def term(k: int) -> float:
@@ -343,8 +359,8 @@ def opt_se_lds_nofading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE)
     """Optimum-decoding rate for sparse spreading with unit gains:
     Poisson(beta) mixture of log2(1 + k * gamma) over occupancy k >= 1."""
     beta, gamma = point.beta, point.gamma
-    if gamma == 0.0:
-        return _zero_rate()
+    if _first_order_exact(point):
+        return _first_order_rate(point, tol)
     value = poisson_weighted_sum(
         beta, lambda k: math.log1p(k * gamma) / LN2, _log_growth_bound(gamma), tol)
     return RateValue(value, tol.abs + tol.rel * value)
@@ -358,8 +374,8 @@ def sumf_rate_lds_nofading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERAN
     dimension is a scalar channel.
     """
     beta, gamma = point.beta, point.gamma
-    if gamma == 0.0:
-        return _zero_rate()
+    if _first_order_exact(point):
+        return _first_order_rate(point, tol)
     solo = math.exp(-beta) * math.log1p(gamma) / LN2
     rest = poisson_weighted_sum(
         beta, lambda k: math.log1p(gamma / (k * gamma + 1.0)) / LN2,
@@ -396,12 +412,12 @@ def _mmse_sinr(gamma: float, b: float) -> float:
     return 2.0 * gamma / (b + r) if b >= 0.0 else 0.5 * (r - b)
 
 
-def opt_se_ds_nofading(point: ChannelPoint) -> RateValue:
+def opt_se_ds_nofading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> RateValue:
     """Optimum-decoding spectral efficiency of dense random spreading
     with unit gains (the classic square-root-law closed form)."""
     beta, gamma = point.beta, point.gamma
-    if gamma == 0.0:
-        return _zero_rate()
+    if _first_order_exact(point):
+        return _first_order_rate(point, tol)
     # beta gamma - F/4 is the same root with (gamma, beta) -> (beta gamma, 1/beta)
     value = (beta * math.log1p(_mmse_sinr(gamma, 1.0 + (beta - 1.0) * gamma))
              + math.log1p(_mmse_sinr(beta * gamma, 1.0 + (1.0 - beta) * gamma))
@@ -409,12 +425,12 @@ def opt_se_ds_nofading(point: ChannelPoint) -> RateValue:
     return RateValue(max(0.0, value), 8.0 * 2.220446049250313e-16 * abs(value))
 
 
-def mmse_se_ds_nofading(point: ChannelPoint) -> RateValue:
+def mmse_se_ds_nofading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> RateValue:
     """Linear-MMSE spectral efficiency of dense random spreading with
     unit gains: beta * log2(1 + gamma - F/4)."""
     beta, gamma = point.beta, point.gamma
-    if gamma == 0.0:
-        return _zero_rate()
+    if _first_order_exact(point):
+        return _first_order_rate(point, tol)
     value = beta * math.log1p(_mmse_sinr(gamma, 1.0 + (beta - 1.0) * gamma)) / LN2
     return RateValue(max(0.0, value), 8.0 * 2.220446049250313e-16 * abs(value))
 
@@ -496,8 +512,8 @@ def mmse_se_ds_fading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE) -
     """Linear-MMSE spectral efficiency of dense spreading under fading:
     beta/ln2 * e^z E_1(z) at z = 1/(gamma x), x the multiuser efficiency."""
     beta, gamma = point.beta, point.gamma
-    if gamma == 0.0:
-        return _zero_rate()
+    if _first_order_exact(point):
+        return _first_order_rate(point, tol)
     eff = mmse_efficiency_ds_fading(point, tol)
     z = 1.0 / (gamma * eff.value)
     value = beta / LN2 * exp_integral_en_scaled(1, z)
@@ -509,8 +525,8 @@ def opt_se_ds_fading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE) ->
     fading: the MMSE rate plus the divergence term (x - 1 - ln x)/ln 2
     at the same multiuser efficiency x."""
     beta, gamma = point.beta, point.gamma
-    if gamma == 0.0:
-        return _zero_rate()
+    if _first_order_exact(point):
+        return _first_order_rate(point, tol)
     eff = mmse_efficiency_ds_fading(point, tol)
     z = 1.0 / (gamma * eff.value)
     mmse_part = beta / LN2 * exp_integral_en_scaled(1, z)
@@ -529,8 +545,8 @@ _FORMULAS = {
     (Spreading.ONE_SPARSE, Fading.NONE, Detector.OPTIMUM): opt_se_lds_nofading,
     (Spreading.ONE_SPARSE, Fading.RAYLEIGH, Detector.SUMF): sumf_rate_lds_fading,
     (Spreading.ONE_SPARSE, Fading.RAYLEIGH, Detector.OPTIMUM): opt_se_lds_fading,
-    (Spreading.DENSE, Fading.NONE, Detector.MMSE): lambda p, tol: mmse_se_ds_nofading(p),
-    (Spreading.DENSE, Fading.NONE, Detector.OPTIMUM): lambda p, tol: opt_se_ds_nofading(p),
+    (Spreading.DENSE, Fading.NONE, Detector.MMSE): mmse_se_ds_nofading,
+    (Spreading.DENSE, Fading.NONE, Detector.OPTIMUM): opt_se_ds_nofading,
     (Spreading.DENSE, Fading.RAYLEIGH, Detector.MMSE): mmse_se_ds_fading,
     (Spreading.DENSE, Fading.RAYLEIGH, Detector.OPTIMUM): opt_se_ds_fading,
 }
@@ -635,7 +651,8 @@ def gamma_from_eta(scheme: SchemeSpec, beta: float, eta: float,
         g = math.exp(t)
         # scale the absolute rate target with the SNR: the rate itself is
         # O(gamma) near zero, and a fixed absolute floor would bury the
-        # excess of eta over ln 2 in quadrature error for eta near the floor
+        # excess of eta over ln 2 in series truncation error for eta near
+        # the floor
         point_tol = Tolerance(rel=tol.rel, abs=tol.abs * min(1.0, g),
                               max_evals=tol.max_evals)
         return eta_from_gamma(scheme, beta, g, point_tol) - eta

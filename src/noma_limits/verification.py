@@ -48,6 +48,7 @@ from .rates import (
     opt_se_ds_nofading,
     opt_se_lds_fading,
     opt_se_lds_fading_alt,
+    opt_se_lds_fading_erlang,
     opt_se_lds_nofading,
     spectral_efficiency,
     sumf_rate_lds_fading,
@@ -174,17 +175,17 @@ def _check_wideband_slopes(seed: int) -> list[CheckResult]:
     """Finite-difference wideband slopes match beta/(1+beta) for the
     matched filter and 2 beta/(beta+2) for optimum decoding (fading)."""
     del seed
-    tol_quad = Tolerance(rel=1e-12, abs=1e-15, max_evals=400_000)
-    tol_sum = Tolerance(rel=1e-12, abs=1e-14, max_evals=400_000)
+    tol_sumf = Tolerance(rel=1e-12, abs=1e-15, max_evals=400_000)
+    tol_opt = Tolerance(rel=1e-12, abs=1e-14, max_evals=400_000)
     out = []
     for beta in (0.5, 1.0, 2.0):
         slope = _wideband_slope(
-            lambda g: sumf_rate_lds_fading(ChannelPoint(beta, g), tol_quad).bits_per_dim)
+            lambda g: sumf_rate_lds_fading(ChannelPoint(beta, g), tol_sumf).bits_per_dim)
         expected = beta / (1.0 + beta)
         out.append(CheckResult.compare(
             f"wideband.lds-sumf-fading.beta{beta:g}", expected, slope, 0.01 * expected))
         slope = _wideband_slope(
-            lambda g: opt_se_lds_fading(ChannelPoint(beta, g), tol_sum).bits_per_dim)
+            lambda g: opt_se_lds_fading(ChannelPoint(beta, g), tol_opt).bits_per_dim)
         expected = 2.0 * beta / (beta + 2.0)
         out.append(CheckResult.compare(
             f"wideband.lds-opt-fading.beta{beta:g}", expected, slope, 0.01 * expected))
@@ -235,16 +236,17 @@ _GRID_GAMMAS = (0.1, 1.0, 10.0, 100.0)
 
 
 def _check_representations(seed: int) -> list[CheckResult]:
-    """Two independent routes to the sparse-fading optimum rate agree to
-    1e-8 bits on the 16-point grid, and the two matched-filter integral
-    forms agree to 1e-10."""
+    """Two independent routes to the sparse-fading optimum rate (Erlang
+    density and SNR derivative, both by quadrature) agree to 1e-8 bits on
+    the 16-point grid, and the matched-filter Poisson series agrees with
+    its unit-interval integral to 1e-10."""
     del seed
     out = []
     tol_mix = Tolerance(rel=1e-11, abs=1e-12, max_evals=500_000)
     for beta in _GRID_BETAS:
         for gamma in _GRID_GAMMAS:
             point = ChannelPoint(beta, gamma)
-            direct = opt_se_lds_fading(point, tol_mix, inner="quadrature").bits_per_dim
+            direct = opt_se_lds_fading_erlang(point, tol_mix).bits_per_dim
             alt = opt_se_lds_fading_alt(point, tol_mix).bits_per_dim
             out.append(CheckResult.compare(
                 f"opt-routes.beta{beta:g}.gamma{gamma:g}", direct, alt, 1e-8))
@@ -252,10 +254,10 @@ def _check_representations(seed: int) -> list[CheckResult]:
     for beta in _GRID_BETAS:
         for gamma in _GRID_GAMMAS:
             point = ChannelPoint(beta, gamma)
-            half_line = sumf_rate_lds_fading(point, tol_tight).bits_per_dim
+            series = sumf_rate_lds_fading(point, tol_tight).bits_per_dim
             unit = sumf_rate_lds_fading_unit_form(point, tol_tight).bits_per_dim
             out.append(CheckResult.compare(
-                f"sumf-forms.beta{beta:g}.gamma{gamma:g}", half_line, unit, 1e-10))
+                f"sumf-forms.beta{beta:g}.gamma{gamma:g}", series, unit, 1e-10))
     return out
 
 

@@ -198,6 +198,23 @@ class TestCurveCommand:
         rates = [float(r[5]) for r in rows]
         assert rates[0] < rates[1] < rates[2]
 
+    @pytest.mark.parametrize("scheme, beta, lo, hi", [
+        ("ds-opt-fading", "1", "0", "10"),
+        # lds-sumf-fading printed rates near 1e-10 from 45 dB on when its
+        # rate was a half-line quadrature
+        ("lds-sumf-fading", "50", "30", "50"),
+    ])
+    def test_energy_sweep_rows_are_consistent(self, capsys, scheme, beta, lo, hi):
+        code, out, _ = run_cli(
+            capsys, "curve", "--scheme", scheme, "--beta", beta,
+            "--range", lo, hi, "--points", "5")
+        assert code == 0
+        rows = parse_csv(out)
+        assert len(rows) == 5
+        for _, _, _, gamma, eta_db, rate in rows:
+            eta = float(beta) * float(gamma) / float(rate)
+            assert eta == pytest.approx(10.0 ** (float(eta_db) / 10.0), rel=3e-8)
+
     def test_minimum_grid(self, capsys):
         code, out, _ = run_cli(
             capsys, "curve", "--scheme", "lds-zf-nofading", "--eta-db", "6",

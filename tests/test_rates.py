@@ -38,6 +38,7 @@ from noma_limits.rates import (
     opt_se_ds_nofading,
     opt_se_lds_fading,
     opt_se_lds_fading_alt,
+    opt_se_lds_fading_erlang,
     opt_se_lds_nofading,
     spectral_efficiency,
     sumf_rate_lds_fading,
@@ -182,8 +183,8 @@ class TestRepresentations:
         tol = Tolerance(rel=1e-12, abs=1e-13, max_evals=500_000)
         for beta, gamma in GRID:
             point = ChannelPoint(beta, gamma)
-            closed = opt_se_lds_fading(point, tol, inner="closed").bits_per_dim
-            quad = opt_se_lds_fading(point, tol, inner="quadrature").bits_per_dim
+            closed = opt_se_lds_fading(point, tol).bits_per_dim
+            quad = opt_se_lds_fading_erlang(point, tol).bits_per_dim
             assert abs(closed - quad) <= 1e-10, (beta, gamma, closed, quad)
 
     def test_derivative_route_matches_mixture_route(self):
@@ -202,15 +203,39 @@ class TestRepresentations:
             b = sumf_rate_lds_fading_unit_form(point, tol).bits_per_dim
             assert abs(a - b) <= 1e-10
 
-    def test_invalid_inner_selector(self):
-        with pytest.raises(DomainError):
-            opt_se_lds_fading(ChannelPoint(1.0, 1.0), inner="magic")
-
     @pytest.mark.parametrize("z", [1e-12, 1e-3, 0.5, 1.0, 3.0, 300.0, 1e4])
     def test_recurrence_built_orders_match_direct_evaluation(self, z):
         orders = itertools.islice(_scaled_en_orders(z), 2000)
         for q, e in enumerate(orders, start=1):
             assert e == pytest.approx(exp_integral_en_scaled(q, z), rel=1e-13), q
+
+    @pytest.mark.parametrize("z", [1e-3, 1.0, 300.0, 1e12])
+    @pytest.mark.parametrize("first", [2, 57, 9000])
+    def test_orders_started_late_match_those_started_at_one(self, z, first):
+        late = list(itertools.islice(_scaled_en_orders(z, first), 50))
+        full = list(itertools.islice(_scaled_en_orders(z), first - 1, first + 49))
+        assert late == pytest.approx(full, rel=1e-13)
+
+
+# ----------------------------------------------------------------------
+# Sparse spreading with fading: the matched-filter Poisson series
+# ----------------------------------------------------------------------
+
+class TestMatchedFilterSeries:
+    # mpmath at 60 digits; where quadrature converges it agrees with the
+    # series when the integral over z is broken at 1/(beta gamma), 1 and
+    # gamma (without the breaks it gives 54.49 at gamma = 1e300)
+    @pytest.mark.parametrize("beta, gamma, expected", [
+        (100.0, 1e3, 1.4574045198363859),
+        (1e3, 10.0, 1.4439957953743844),
+        (50.0, 298.8, 1.4726734549900378),
+        (1e4, 10.0, 1.4428249066762235),
+        (1.0, 1e100, 122.60001546589472),
+        (1.0, 1e300, 367.01382569767010),
+    ])
+    def test_matches_mpmath(self, beta, gamma, expected):
+        rate = sumf_rate_lds_fading(ChannelPoint(beta, gamma)).bits_per_dim
+        assert abs(rate - expected) <= DEFAULT_TOLERANCE.target(expected)
 
 
 # ----------------------------------------------------------------------
@@ -250,6 +275,28 @@ class TestProperties:
         rate = spectral_efficiency(scheme, ChannelPoint(1.0, 0.0))
         assert rate.bits_per_dim == 0.0
         assert rate.err_estimate == 0.0
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
+    @pytest.mark.parametrize("beta", [1.0, 1e4])
+    @pytest.mark.parametrize("gamma", [1e-200, 1e-310, 5e-324])
+    def test_tiny_snr_gives_first_order_rate(self, scheme, beta, gamma):
+        # every rate equals beta gamma/ln2 to double precision here; 1/gamma
+        # overflows below 5.6e-309, and at 1e-200 F(gamma, beta) underflowed,
+        # which doubled the ds-opt-nofading rate
+        rate = spectral_efficiency(scheme, ChannelPoint(beta, gamma))
+        assert rate.bits_per_dim == beta * gamma / LN2
+
+    def test_no_scheme_reaches_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a production route called quadrature")
+
+        monkeypatch.setattr("noma_limits.rates.integrate_semi_infinite", refuse)
+        monkeypatch.setattr("noma_limits.rates.integrate_interval", refuse)
+        for scheme in ALL_SCHEMES:
+            for beta in (10.0 ** e for e in range(-6, 5)):
+                for gamma in (10.0 ** e for e in range(-12, 301, 12)):
+                    rate = spectral_efficiency(scheme, ChannelPoint(beta, gamma))
+                    assert rate.bits_per_dim > 0.0, (scheme.name, beta, gamma)
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
     def test_nondecreasing_in_snr(self, scheme):
