@@ -249,6 +249,56 @@ def empirical_lsd_cdf_distance(gram: GramDiagonal, mixture: LsdMixture) -> float
                      np.max(np.abs(model_left - ecdf_lo))))
 
 
+def _count_law(n: int, p: float) -> tuple[int, np.ndarray]:
+    """Binomial(n, p) as a chain of conditional probabilities.
+
+    Returns (c0, h) with h[j] = P(C = c0 + j | C >= c0 + j) for
+    C ~ Binomial(n, p), over the counts c0, c0 + 1, ... that hold all
+    but at most 1e-300 of the mass on each side; the last h is exactly 1.
+    The pmf is walked outward from the mode by the ratio of successive
+    terms, and a side stops once a geometric bound on its tail, valid
+    because the ratio only falls away from the mode, drops below 1e-300.
+    """
+    if n == 0 or p == 1.0:
+        return (n if p == 1.0 else 0), np.ones(1)
+    q = 1.0 - p
+    mode = min(n, int((n + 1) * p))
+    peak = math.exp(math.lgamma(n + 1) - math.lgamma(mode + 1) - math.lgamma(n - mode + 1)
+                    + mode * math.log(p) + (n - mode) * math.log1p(-p))
+    up, c, w = [], mode, peak
+    while c < n:
+        r = (n - c) * p / ((c + 1) * q)  # pmf(c + 1) / pmf(c)
+        if r < 1.0 and w * r < 1e-300 * (1.0 - r):
+            break
+        c, w = c + 1, w * r
+        up.append(w)
+    down, c, w = [], mode, peak
+    while c > 0:
+        r = c * q / ((n - c + 1) * p)  # pmf(c - 1) / pmf(c)
+        if r < 1.0 and w * r < 1e-300 * (1.0 - r):
+            break
+        c, w = c - 1, w * r
+        down.append(w)
+    pmf = np.array(down[::-1] + [peak] + up)
+    tail = np.cumsum(pmf[::-1])[::-1]
+    return mode - len(down), pmf / tail
+
+
+def _count_groups(rng: np.random.Generator, law: np.ndarray, m: int) -> list[int]:
+    """How many of m independent draws from a chained count law take each
+    of its counts, as a multinomial drawn by scalar conditional binomials;
+    the list stops at the last count any draw takes."""
+    sizes = []
+    left = m
+    for h in law:
+        k = int(rng.binomial(left, h))
+        sizes.append(k)
+        left -= k
+        if left == 0:
+            break
+    return sizes
+
+
 def mc_sumf_rate(n_dims: int, beta: float, gamma: float, n_samples: int,
                  seed: int) -> McEstimate:
     """Monte Carlo matched-filter rate at finite n_dims.
@@ -257,9 +307,21 @@ def mc_sumf_rate(n_dims: int, beta: float, gamma: float, n_samples: int,
     with K = round(beta * n_dims), interference Gamma(count, 1); the
     sample value is log2(1 + gamma a / (1 + gamma interference)) and the
     reported mean is beta times the sample average, i.e. the rate in
-    bits per dimension.  Draws are generated in fixed-size blocks, each
-    keyed by its index, and reduced in block order, so the result is
-    bit-for-bit reproducible and insensitive to scheduling.
+    bits per dimension.
+
+    The samples of a block are exchangeable and only their sum and sum
+    of squares are kept, so a block draws its m collision counts as a
+    whole: how many samples take each count c is multinomial over the
+    binomial pmf (a chain of scalar conditional binomials, see
+    _count_law), and each count group takes one Gamma(c, 1) draw of its
+    size, c = 0 needing none.  This is the same joint law as m
+    independent (count, interference) pairs listed in count order; the
+    own powers are independent of both, so pairing them by position
+    leaves the law unchanged.  Only count tails below 1e-300 are cut.
+
+    Draws are generated in fixed-size blocks, each keyed by its index,
+    and reduced in block order, so the result is bit-for-bit
+    reproducible and insensitive to scheduling.
     """
     n_dims = _check_size("n_dims", n_dims)
     n_samples = _check_size("n_samples", n_samples)
@@ -272,6 +334,7 @@ def mc_sumf_rate(n_dims: int, beta: float, gamma: float, n_samples: int,
         raise DomainError(f"beta * n_dims rounds to zero users (beta={beta}, n_dims={n_dims})")
     if gamma == 0.0:
         return McEstimate(0.0, 0.0, n_samples, int(seed))
+    first, law = _count_law(n_users - 1, 1.0 / n_dims)
     total = []
     total_sq = []
     done = 0
@@ -280,8 +343,12 @@ def mc_sumf_rate(n_dims: int, beta: float, gamma: float, n_samples: int,
         m = min(_BLOCK, n_samples - done)
         rng = _generator(seed, _STREAM_SUMF, block_index)
         own = rng.standard_exponential(m)
-        collisions = rng.binomial(n_users - 1, 1.0 / n_dims, size=m)
-        interference = rng.standard_gamma(collisions)
+        interference = np.zeros(m)
+        end = 0
+        for c, size in enumerate(_count_groups(rng, law, m), start=first):
+            start, end = end, end + size
+            if c > 0 and size > 0:
+                rng.standard_gamma(c, out=interference[start:end])
         t = np.log1p(own * gamma / (1.0 + gamma * interference)) / LN2
         total.append(float(np.sum(t)))
         total_sq.append(float(np.sum(t * t)))

@@ -440,9 +440,11 @@ def mmse_se_ds_nofading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE)
 # ----------------------------------------------------------------------
 
 def _shrinkage(s: float) -> float:
-    # E[1/(1 + s Z)] for unit-rate exponential Z
-    if s == 0.0:
-        return 1.0
+    # E[1/(1 + s Z)] for unit-rate exponential Z; it is z e^z E_1(z) at
+    # z = 1/s, which is 1 - s + 2 s^2 - ..., so 1 - s below 1e-17, where
+    # 1/s could also overflow
+    if s < 1e-17:
+        return 1.0 - s
     z = 1.0 / s
     return z * exp_integral_en_scaled(1, z)
 

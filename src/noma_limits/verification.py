@@ -110,16 +110,20 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Outcome of a suite run; overall is the AND of all passed flags."""
+    """Outcome of a suite run; overall is the AND of all passed flags.
+    ``criterion_time_s`` maps each criterion run, by key, to its wall
+    time in seconds."""
 
     checks: tuple[CheckResult, ...]
     overall: bool
     seeds: tuple[int, ...]
     wall_time_s: float
+    criterion_time_s: dict[str, float]
 
     def to_json(self) -> str:
         payload = {
             "checks": [c.as_dict() for c in self.checks],
+            "criterion_time_s": self.criterion_time_s,
             "overall": self.overall,
             "seeds": list(self.seeds),
             "wall_time_s": self.wall_time_s,
@@ -524,12 +528,16 @@ def run_suite(suite: str = "fast", seed: int = DEFAULT_SEED) -> VerifyReport:
         raise ValueError(f"suite must be 'fast' or 'full', got {suite!r}")
     start = time.perf_counter()
     checks: list[CheckResult] = []
+    times: dict[str, float] = {}
     for criterion in CRITERIA:
         if suite == "fast" and criterion.suite != "fast":
             continue
+        begin = time.perf_counter()
         checks.extend(run_criterion(criterion, seed))
+        times[criterion.key] = time.perf_counter() - begin
     wall = time.perf_counter() - start
     return VerifyReport(checks=tuple(checks),
                         overall=all(c.passed for c in checks),
                         seeds=(seed,),
-                        wall_time_s=wall)
+                        wall_time_s=wall,
+                        criterion_time_s=times)

@@ -1,5 +1,7 @@
 """Command-line surface: formats, exit codes, ordering, determinism."""
 
+import contextlib
+import io
 import json
 import math
 
@@ -7,6 +9,7 @@ import pytest
 
 from noma_limits.cli import SweepSpec, fmt9, main
 from noma_limits.rates import SchemeSpec
+from noma_limits.verification import CRITERIA
 
 CSV_HEADER = "x,scheme,beta,gamma,eta_db,rate_bits_per_dim"
 
@@ -418,9 +421,19 @@ class TestMcCommand:
 # verify
 # ----------------------------------------------------------------------
 
+@pytest.fixture(scope="session")
+def fast_verify_run():
+    """Exit code and stdout of one `verify --suite fast` run, shared by
+    the tests that only read its report."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--suite", "fast"])
+    return code, out.getvalue()
+
+
 class TestVerifyCommand:
-    def test_fast_suite_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "fast")
+    def test_fast_suite_passes(self, fast_verify_run):
+        code, out = fast_verify_run
         assert code == 0
         report = json.loads(out)
         assert report["overall"] is True
@@ -431,11 +444,19 @@ class TestVerifyCommand:
         assert prefixes == ["01.", "02.", "03.", "04.", "05.",
                             "11.", "12.", "13."]
 
-    def test_fast_suite_is_deterministic(self, capsys):
-        _, first, _ = run_cli(capsys, "verify", "--suite", "fast")
+    def test_records_wall_time_per_criterion(self, fast_verify_run):
+        report = json.loads(fast_verify_run[1])
+        times = report["criterion_time_s"]
+        assert sorted(times) == sorted(c.key for c in CRITERIA if c.suite == "fast")
+        assert all(t >= 0.0 for t in times.values())
+        assert sum(times.values()) <= report["wall_time_s"]
+
+    def test_fast_suite_is_deterministic(self, capsys, fast_verify_run):
+        _, first = fast_verify_run
         _, second, _ = run_cli(capsys, "verify", "--suite", "fast")
         a, b = json.loads(first), json.loads(second)
         a.pop("wall_time_s"), b.pop("wall_time_s")
+        a.pop("criterion_time_s"), b.pop("criterion_time_s")
         assert a == b
 
     def test_seed_is_echoed(self, capsys):

@@ -8,7 +8,10 @@ import pytest
 from noma_limits.combinatorics import EnsembleKind, exact_moments
 from noma_limits.ensemble_lab import (
     _STREAM_DS,
+    _STREAM_SUMF,
     GramDiagonal,
+    _count_groups,
+    _count_law,
     _generator,
     _logdet_capacity,
     LsdMixture,
@@ -311,6 +314,61 @@ class TestMcSumfRate:
     def test_rejects_degenerate_user_count(self):
         with pytest.raises(DomainError):
             mc_sumf_rate(10, 0.01, 1.0, 100, 0)
+
+    @pytest.mark.parametrize("seed", [41, 271, 1009])
+    def test_overloaded_case_agrees_with_analytic_rate(self, seed):
+        est = mc_sumf_rate(10_000, 3.0, 10.0, 1_000_000, seed)
+        analytic = sumf_rate_lds_fading(ChannelPoint(3.0, 10.0)).bits_per_dim
+        assert combined_z(est.mean, est.std_error, analytic, 0.0) < 4.0
+
+
+class TestCollisionCountLaw:
+    """The grouped draw behind mc_sumf_rate: how many of a block's
+    samples take each collision count c ~ Binomial(K - 1, 1/N)."""
+
+    @staticmethod
+    def _groups(n_dims, n_users, m, seed=5, block=0):
+        first, law = _count_law(n_users - 1, 1.0 / n_dims)
+        sizes = _count_groups(_generator(seed, _STREAM_SUMF, block), law, m)
+        return np.arange(first, first + len(sizes)), np.array(sizes)
+
+    @pytest.mark.parametrize("m", [1, 7, 1_000_000])
+    def test_each_block_places_every_sample(self, m):
+        for block in range(3):
+            _, sizes = self._groups(10_000, 30_000, m, block=block)
+            assert sizes.sum() == m and sizes.min() >= 0
+
+    @pytest.mark.parametrize("n_dims, n_users",
+                             [(2, 3), (100, 100), (10, 10_000), (10_000, 30_000)])
+    def test_mean_and_variance_match_the_binomial(self, n_dims, n_users):
+        m = 1_000_000
+        counts, sizes = self._groups(n_dims, n_users, m)
+        n, p = n_users - 1, 1.0 / n_dims
+        var = n * p * (1.0 - p)
+        # fourth central moment of the binomial, for the variance's error
+        mu4 = var * (1.0 + 3.0 * (n - 2) * p * (1.0 - p))
+        mean_hat = float(counts @ sizes) / m
+        var_hat = float(((counts - mean_hat) ** 2) @ sizes) / (m - 1)
+        assert abs(mean_hat - n * p) < 4.0 * math.sqrt(var / m)
+        assert abs(var_hat - var) < 4.0 * math.sqrt((mu4 - var * var) / m)
+
+    def test_one_dimension_puts_every_sample_on_all_other_users(self):
+        counts, sizes = self._groups(1, 5, 1000)
+        assert list(counts) == [4] and list(sizes) == [1000]
+
+    def test_one_user_has_no_collisions(self):
+        counts, sizes = self._groups(100, 1, 1000)
+        assert list(counts) == [0] and list(sizes) == [1000]
+
+    def test_chain_reproduces_the_exact_pmf(self):
+        n, p = 20, 0.3
+        first, law = _count_law(n, p)
+        assert first == 0 and len(law) == n + 1 and law[-1] == 1.0
+        survive = 1.0
+        for c, h in enumerate(law):
+            exact = math.comb(n, c) * p ** c * (1.0 - p) ** (n - c)
+            assert survive * h == pytest.approx(exact, rel=1e-12)
+            survive *= 1.0 - h
 
 
 # ----------------------------------------------------------------------

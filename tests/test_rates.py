@@ -462,6 +462,13 @@ class TestMmseEfficiency:
         for fn in (mmse_se_ds_fading, opt_se_ds_fading):
             assert fn(point).bits_per_dim == pytest.approx(5.4456151124756891e-18, rel=1e-10)
 
+    @pytest.mark.parametrize("beta, gamma", itertools.product((0.5, 2.0), (1e-310, 5e-324)))
+    def test_subnormal_snr_gives_unit_efficiency(self, beta, gamma):
+        # x gamma is subnormal, so 1/(x gamma) would overflow; the
+        # expectation is 1 - x gamma + O((x gamma)^2) there
+        eff = mmse_efficiency_ds_fading(ChannelPoint(beta, gamma))
+        assert eff.value == pytest.approx(1.0, abs=1e-15)
+
     @pytest.mark.parametrize("name, gamma, expected", [
         ("ds-mmse-fading", 1e8, 14.099885970636537),
         ("ds-mmse-fading", 1e100, 168.69842673513455),
