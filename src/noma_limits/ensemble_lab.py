@@ -22,7 +22,7 @@ import numpy as np
 from .combinatorics import MomentVector
 from .errors import DomainError, FactorizationError
 from .numerics import reg_lower_gamma
-from .rates import LN2
+from .rates import LN2, ChannelPoint
 
 __all__ = [
     "SystemDraw",
@@ -41,6 +41,8 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 1_000_000
+_MAX_ENTRIES = 1 << 24  # largest dense spreading matrix, about 128 MB of float64
+_MAX_USERS = 1 << 31  # the count law spans about 37 sqrt(K) counts at N = 2
 
 # stream tags keep independent estimators on disjoint key spaces
 _STREAM_SYSTEM = 1
@@ -70,20 +72,36 @@ def _check_size(name: str, v: int, hi: int | None = None) -> int:
     return int(v)
 
 
+def _user_count(n_dims: int, beta: float) -> int:
+    n_users = round(beta * n_dims)
+    if n_users < 1:
+        raise DomainError(f"beta * n_dims rounds to zero users (beta={beta}, n_dims={n_dims})")
+    if n_users > _MAX_USERS:
+        raise DomainError(f"beta * n_dims = {beta * n_dims:g} users exceeds the limit of 2^31")
+    return n_users
+
+
+def _blocks(seed: int, stream: int, n: int):
+    """(generator, size) for each fixed-size block of n draws, the
+    generator keyed by the block's index."""
+    for index, start in enumerate(range(0, n, _BLOCK)):
+        yield _generator(seed, stream, index), min(_BLOCK, n - start)
+
+
 @dataclass(frozen=True)
 class SystemDraw:
-    """One finite system: per-user dimension choices, chip signs, and
-    unit-mean exponential fading powers."""
+    """One finite system: per-user dimension choices and unit-mean
+    exponential fading powers.  Chip signs are not drawn: they never
+    change the Gram spectrum (see gram_diagonal)."""
 
     n_dims: int
     n_users: int
     positions: np.ndarray   # 1-based dimension index per user, in [1, n_dims]
-    signs: np.ndarray       # +1 or -1 per user
     fade_powers: np.ndarray  # Exp(1) per user
     seed: int
 
     def __post_init__(self) -> None:
-        for name in ("positions", "signs", "fade_powers"):
+        for name in ("positions", "fade_powers"):
             if len(getattr(self, name)) != self.n_users:
                 raise DomainError(f"{name} must have length n_users={self.n_users}")
 
@@ -111,16 +129,15 @@ class McEstimate:
 
 
 def draw_system(n_dims: int, n_users: int, seed: int) -> SystemDraw:
-    """Draw one system: uniform dimension per user, uniform sign, Exp(1)
-    fading power.  Deterministic in (n_dims, n_users, seed)."""
+    """Draw one system: uniform dimension per user, Exp(1) fading power.
+    Deterministic in (n_dims, n_users, seed)."""
     n_dims = _check_size("n_dims", n_dims)
     n_users = _check_size("n_users", n_users)
     rng = _generator(seed, _STREAM_SYSTEM)
     positions = rng.integers(1, n_dims + 1, size=n_users)
-    signs = rng.integers(0, 2, size=n_users) * 2 - 1
     fade_powers = rng.standard_exponential(n_users)
     return SystemDraw(n_dims=n_dims, n_users=n_users, positions=positions,
-                      signs=signs, fade_powers=fade_powers, seed=int(seed))
+                      fade_powers=fade_powers, seed=int(seed))
 
 
 def gram_diagonal(draw: SystemDraw) -> GramDiagonal:
@@ -129,7 +146,7 @@ def gram_diagonal(draw: SystemDraw) -> GramDiagonal:
 
     With one chip per user the cross terms of the Gram matrix vanish
     identically (each product contains a structurally zero factor), so
-    these sums are exactly its eigenvalues, signs notwithstanding.
+    these sums are exactly its eigenvalues, whatever the chip signs.
     """
     values = np.bincount(draw.positions - 1, weights=draw.fade_powers,
                          minlength=draw.n_dims)
@@ -165,28 +182,55 @@ def empirical_opt_se(gram: GramDiagonal, gamma: float) -> float:
     return float(np.sum(np.log1p(gamma * gram.values)) / (gram.n_dims * LN2))
 
 
+def _pmf_from_mode(mode: int, ratio, last: float, cut: float) -> tuple[int, np.ndarray]:
+    """A unimodal pmf on the counts 0..last, walked outward from its mode.
+
+    ratio(c) = pmf(c + 1) / pmf(c) must fall as c grows.  Terms are taken
+    relative to the mode's, so no factor such as e^(-beta) is formed and
+    nothing underflows; each side stops once a geometric bound on its
+    tail, valid because the ratio only falls away from the mode, drops
+    below ``cut`` times the mode's term.  Returns the first count kept
+    and the kept terms normalized to unit sum.
+    """
+    up, c, w = [], mode, 1.0
+    while c < last:
+        r = ratio(c)
+        if r < 1.0 and w * r < cut * (1.0 - r):
+            break
+        c, w = c + 1, w * r
+        up.append(w)
+    down, c, w = [], mode, 1.0
+    while c > 0:
+        r = 1.0 / ratio(c - 1)
+        if r < 1.0 and w * r < cut * (1.0 - r):
+            break
+        c, w = c - 1, w * r
+        down.append(w)
+    pmf = np.array(down[::-1] + [1.0] + up)
+    return mode - len(down), pmf / pmf.sum()
+
+
 class LsdMixture:
     """Limiting spectral law of the one-sparse fading ensemble at load
     beta: an atom at zero of mass e^(-beta) plus Poisson(beta)-weighted
-    unit-rate Erlang components of shapes k >= 1."""
+    unit-rate Erlang components of shapes k >= 1.
 
-    def __init__(self, beta: float, weight_tol: float = 1e-13):
+    The Poisson weights are walked out from the mode (_pmf_from_mode),
+    so large loads do not underflow; the tails cut on either side hold
+    less than 1e-17 of the mass, and shapes in the lower cut tail keep a
+    zero weight.  Loads above 1e5 are refused: the weights are stored for
+    every shape up to about beta."""
+
+    def __init__(self, beta: float):
         if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
             raise DomainError(f"beta must be a positive finite real, got {beta!r}")
+        if beta > 1e5:
+            raise DomainError(f"beta must be at most 1e5 for the limiting mixture, got {beta!r}")
         self.beta = float(beta)
-        weights = []
-        w = math.exp(-beta)
-        self.atom_weight = w
-        k = 0
-        remaining = 1.0 - w
-        while remaining > weight_tol:
-            k += 1
-            w = w * beta / k
-            weights.append(w)
-            remaining -= w
-            if k > 100_000:
-                raise DomainError(f"mixture truncation failed at beta={beta}")
-        self.component_weights = np.array(weights)
+        first, pmf = _pmf_from_mode(int(beta), lambda k: beta / (k + 1), math.inf, 1e-17)
+        weights = np.concatenate([np.zeros(first), pmf])  # indexed by shape, from 0
+        self.atom_weight = float(weights[0])
+        self.component_weights = weights[1:]
 
     @property
     def n_components(self) -> int:
@@ -201,7 +245,8 @@ class LsdMixture:
             return 0.0
         total = self.atom_weight
         for k, w in enumerate(self.component_weights, start=1):
-            total += w * reg_lower_gamma(k, x)
+            if w > 0.0:
+                total += w * reg_lower_gamma(k, x)
         return min(1.0, total)
 
     def cdf_many(self, xs: np.ndarray) -> np.ndarray:
@@ -209,26 +254,24 @@ class LsdMixture:
 
         Uses the complement identity: summing Erlang CDFs against
         Poisson(beta) weights equals one minus the expectation, over a
-        Poisson(x) count J, of the upper Poisson(beta) tail above J.
-        Cross-checked against the scalar route in the tests.
+        Poisson(x) count J, of the upper Poisson(beta) tail above J.  Each
+        Poisson(x) term is formed in log space, since e^(-x) alone
+        underflows for x > 745.  Cross-checked against the scalar route
+        in the tests.
         """
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 1:
             raise DomainError("xs must be one-dimensional")
-        n_comp = self.n_components
         # upper[j] = mixture mass on components of shape strictly above j
         upper = self.component_weights[::-1].cumsum()[::-1]
         out = np.zeros_like(xs)
         pos = xs > 0
         x_pos = xs[pos]
-        term = np.exp(-x_pos)  # Poisson(x) pmf at j = 0
-        acc = term * upper[0]
-        for j in range(1, n_comp):
-            term = term * x_pos / j
-            acc = acc + term * upper[j]
-        # truncation: Poisson(x) mass above n_comp-1 times tail <= weight_tol
-        out[pos] = 1.0 - acc
-        out[pos] = np.clip(out[pos], 0.0, 1.0)
+        log_x = np.log(x_pos)
+        acc = np.zeros_like(x_pos)
+        for j in range(self.n_components):
+            acc += np.exp(j * log_x - x_pos - math.lgamma(j + 1.0)) * upper[j]
+        out[pos] = np.clip(1.0 - acc, 0.0, 1.0)
         out[xs == 0.0] = self.atom_weight
         return out
 
@@ -250,53 +293,13 @@ def empirical_lsd_cdf_distance(gram: GramDiagonal, mixture: LsdMixture) -> float
 
 
 def _count_law(n: int, p: float) -> tuple[int, np.ndarray]:
-    """Binomial(n, p) as a chain of conditional probabilities.
-
-    Returns (c0, h) with h[j] = P(C = c0 + j | C >= c0 + j) for
-    C ~ Binomial(n, p), over the counts c0, c0 + 1, ... that hold all
-    but at most 1e-300 of the mass on each side; the last h is exactly 1.
-    The pmf is walked outward from the mode by the ratio of successive
-    terms, and a side stops once a geometric bound on its tail, valid
-    because the ratio only falls away from the mode, drops below 1e-300.
-    """
-    if n == 0 or p == 1.0:
-        return (n if p == 1.0 else 0), np.ones(1)
+    """Binomial(n, p) pmf as (c0, pmf) over the counts c0, c0 + 1, ...
+    that hold all but at most 1e-300 of the mass on each side."""
+    if p == 1.0:
+        return n, np.ones(1)
     q = 1.0 - p
-    mode = min(n, int((n + 1) * p))
-    peak = math.exp(math.lgamma(n + 1) - math.lgamma(mode + 1) - math.lgamma(n - mode + 1)
-                    + mode * math.log(p) + (n - mode) * math.log1p(-p))
-    up, c, w = [], mode, peak
-    while c < n:
-        r = (n - c) * p / ((c + 1) * q)  # pmf(c + 1) / pmf(c)
-        if r < 1.0 and w * r < 1e-300 * (1.0 - r):
-            break
-        c, w = c + 1, w * r
-        up.append(w)
-    down, c, w = [], mode, peak
-    while c > 0:
-        r = c * q / ((n - c + 1) * p)  # pmf(c - 1) / pmf(c)
-        if r < 1.0 and w * r < 1e-300 * (1.0 - r):
-            break
-        c, w = c - 1, w * r
-        down.append(w)
-    pmf = np.array(down[::-1] + [peak] + up)
-    tail = np.cumsum(pmf[::-1])[::-1]
-    return mode - len(down), pmf / tail
-
-
-def _count_groups(rng: np.random.Generator, law: np.ndarray, m: int) -> list[int]:
-    """How many of m independent draws from a chained count law take each
-    of its counts, as a multinomial drawn by scalar conditional binomials;
-    the list stops at the last count any draw takes."""
-    sizes = []
-    left = m
-    for h in law:
-        k = int(rng.binomial(left, h))
-        sizes.append(k)
-        left -= k
-        if left == 0:
-            break
-    return sizes
+    return _pmf_from_mode(min(n, int((n + 1) * p)),
+                          lambda c: (n - c) * p / ((c + 1) * q), n, 1e-300)
 
 
 def mc_sumf_rate(n_dims: int, beta: float, gamma: float, n_samples: int,
@@ -311,13 +314,13 @@ def mc_sumf_rate(n_dims: int, beta: float, gamma: float, n_samples: int,
 
     The samples of a block are exchangeable and only their sum and sum
     of squares are kept, so a block draws its m collision counts as a
-    whole: how many samples take each count c is multinomial over the
-    binomial pmf (a chain of scalar conditional binomials, see
-    _count_law), and each count group takes one Gamma(c, 1) draw of its
-    size, c = 0 needing none.  This is the same joint law as m
-    independent (count, interference) pairs listed in count order; the
-    own powers are independent of both, so pairing them by position
-    leaves the law unchanged.  Only count tails below 1e-300 are cut.
+    whole: how many samples take each count c is Multinomial(m, pmf)
+    over the binomial pmf (_count_law), and each count group takes one
+    Gamma(c, 1) draw of its size, c = 0 needing none.  This is the same
+    joint law as m independent (count, interference) pairs listed in
+    count order; the own powers are independent of both, so pairing
+    them by position leaves the law unchanged.  Only count tails below
+    1e-300 are cut.
 
     Draws are generated in fixed-size blocks, each keyed by its index,
     and reduced in block order, so the result is bit-for-bit
@@ -325,35 +328,24 @@ def mc_sumf_rate(n_dims: int, beta: float, gamma: float, n_samples: int,
     """
     n_dims = _check_size("n_dims", n_dims)
     n_samples = _check_size("n_samples", n_samples)
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
-        raise DomainError(f"beta must be a positive finite real, got {beta!r}")
-    if not (isinstance(gamma, (int, float)) and math.isfinite(gamma) and gamma >= 0):
-        raise DomainError(f"gamma must be a nonnegative finite real, got {gamma!r}")
-    n_users = round(beta * n_dims)
-    if n_users < 1:
-        raise DomainError(f"beta * n_dims rounds to zero users (beta={beta}, n_dims={n_dims})")
+    ChannelPoint(beta, gamma)  # domain checks on (beta, gamma)
+    n_users = _user_count(n_dims, beta)
     if gamma == 0.0:
         return McEstimate(0.0, 0.0, n_samples, int(seed))
-    first, law = _count_law(n_users - 1, 1.0 / n_dims)
+    first, pmf = _count_law(n_users - 1, 1.0 / n_dims)
     total = []
     total_sq = []
-    done = 0
-    block_index = 0
-    while done < n_samples:
-        m = min(_BLOCK, n_samples - done)
-        rng = _generator(seed, _STREAM_SUMF, block_index)
+    for rng, m in _blocks(seed, _STREAM_SUMF, n_samples):
         own = rng.standard_exponential(m)
         interference = np.zeros(m)
         end = 0
-        for c, size in enumerate(_count_groups(rng, law, m), start=first):
+        for c, size in enumerate(rng.multinomial(m, pmf).tolist(), start=first):
             start, end = end, end + size
             if c > 0 and size > 0:
                 rng.standard_gamma(c, out=interference[start:end])
         t = np.log1p(own * gamma / (1.0 + gamma * interference)) / LN2
         total.append(float(np.sum(t)))
         total_sq.append(float(np.sum(t * t)))
-        done += m
-        block_index += 1
     s1 = math.fsum(total)
     s2 = math.fsum(total_sq)
     mean_term = s1 / n_samples
@@ -385,39 +377,31 @@ def _logdet_capacity(spreading: np.ndarray, powers: np.ndarray, gamma: float) ->
 
 
 def mc_ds_fading_logdet(n_dims: int, beta: float, gamma: float, n_trials: int,
-                        seed: int, entries: str = "binary") -> McEstimate:
+                        seed: int) -> McEstimate:
     """Monte Carlo optimum-decoding rate of dense spreading under fading
     at finite size: (1/N) log2 det(I + gamma B B*) averaged over draws.
 
-    ``entries`` chooses the spreading matrix law: "binary" (default)
-    uses +-1/sqrt(N) chips, "gaussian" uses N(0, 1/N) chips; the
-    limiting value is the same, which the tests exercise.  Fading
-    coefficients h are standard complex Gaussian; only the received
-    powers |h|^2, unit-mean exponential, enter the log-det, so they are
-    formed directly from the two normal draws.  A failed factorization
-    raises FactorizationError; it is never retried or jittered.
+    Chips are +-1/sqrt(N); a spreading matrix of more than 2^24 entries
+    raises DomainError.  Fading coefficients h are standard complex
+    Gaussian; only the received powers |h|^2, unit-mean exponential,
+    enter the log-det, so they are formed directly from the two normal
+    draws.  A failed factorization raises FactorizationError; it is
+    never retried or jittered.
     """
     n_dims = _check_size("n_dims", n_dims, hi=2048)
     n_trials = _check_size("n_trials", n_trials)
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
-        raise DomainError(f"beta must be a positive finite real, got {beta!r}")
-    if not (isinstance(gamma, (int, float)) and math.isfinite(gamma) and gamma >= 0):
-        raise DomainError(f"gamma must be a nonnegative finite real, got {gamma!r}")
-    if entries not in ("binary", "gaussian"):
-        raise DomainError(f"entries must be 'binary' or 'gaussian', got {entries!r}")
-    n_users = round(beta * n_dims)
-    if n_users < 1:
-        raise DomainError(f"beta * n_dims rounds to zero users (beta={beta}, n_dims={n_dims})")
+    ChannelPoint(beta, gamma)  # domain checks on (beta, gamma)
+    n_users = _user_count(n_dims, beta)
+    if n_dims * n_users > _MAX_ENTRIES:
+        raise DomainError(f"n_dims * n_users = {n_dims * n_users} spreading entries "
+                          f"exceed the limit of {_MAX_ENTRIES}")
     if gamma == 0.0:
         return McEstimate(0.0, 0.0, n_trials, int(seed))
     scale = 1.0 / math.sqrt(n_dims)
     vals = np.empty(n_trials)
     for trial in range(n_trials):
         rng = _generator(seed, _STREAM_DS, trial)
-        if entries == "binary":
-            s = (rng.integers(0, 2, size=(n_dims, n_users)) * 2.0 - 1.0) * scale
-        else:
-            s = rng.standard_normal((n_dims, n_users)) * scale
+        s = (rng.integers(0, 2, size=(n_dims, n_users)) * 2.0 - 1.0) * scale
         re = rng.standard_normal(n_users)
         im = rng.standard_normal(n_users)
         vals[trial] = _logdet_capacity(s, 0.5 * (re * re + im * im), gamma)
@@ -437,34 +421,33 @@ def independence_diagnostic(n_dims: int, beta: float, n_draws: int, seed: int) -
     materialized.  The tests cross-check this shortcut against full
     draws at small sizes.  In the large-system limit the correlation
     vanishes (asymptotic independence); at finite N it sits near -1/(2N).
+
+    Draws come in keyed blocks like mc_sumf_rate's, and only per-block
+    sums are kept, of the powers shifted by the first block's means so
+    the sums of squares do not cancel; memory stays at one block.
     """
     n_dims = _check_size("n_dims", n_dims)
     if n_dims < 2:
         raise DomainError("need at least two dimensions to correlate")
     n_draws = _check_size("n_draws", n_draws)
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
-        raise DomainError(f"beta must be a positive finite real, got {beta!r}")
-    n_users = round(beta * n_dims)
-    if n_users < 1:
-        raise DomainError(f"beta * n_dims rounds to zero users (beta={beta}, n_dims={n_dims})")
-    s1_parts: list[np.ndarray] = []
-    s2_parts: list[np.ndarray] = []
-    done = 0
-    block_index = 0
-    while done < n_draws:
-        m = min(_BLOCK, n_draws - done)
-        rng = _generator(seed, _STREAM_INDEP, block_index)
+    ChannelPoint(beta, 0.0)  # domain check on beta
+    n_users = _user_count(n_dims, beta)
+    shift = None
+    sums = []
+    for rng, m in _blocks(seed, _STREAM_INDEP, n_draws):
         k1 = rng.binomial(n_users, 1.0 / n_dims, size=m)
         k2 = rng.binomial(n_users - k1, 1.0 / (n_dims - 1))
-        s1_parts.append(rng.standard_gamma(k1))
-        s2_parts.append(rng.standard_gamma(k2))
-        done += m
-        block_index += 1
-    s1 = np.concatenate(s1_parts)
-    s2 = np.concatenate(s2_parts)
-    d1 = s1 - s1.mean()
-    d2 = s2 - s2.mean()
-    denom = math.sqrt(float(np.sum(d1 * d1)) * float(np.sum(d2 * d2)))
+        s1 = rng.standard_gamma(k1)
+        s2 = rng.standard_gamma(k2)
+        if shift is None:
+            shift = float(s1.mean()), float(s2.mean())
+        d1 = s1 - shift[0]
+        d2 = s2 - shift[1]
+        sums.append((np.sum(d1), np.sum(d2), np.sum(d1 * d1), np.sum(d2 * d2), np.sum(d1 * d2)))
+    t1, t2, t11, t22, t12 = (math.fsum(column) for column in zip(*sums))
+    ss1 = max(0.0, t11 - t1 * t1 / n_draws)
+    ss2 = max(0.0, t22 - t2 * t2 / n_draws)
+    denom = math.sqrt(ss1 * ss2)
     if denom == 0.0:
         return 0.0
-    return float(np.sum(d1 * d2) / denom)
+    return (t12 - t1 * t2 / n_draws) / denom

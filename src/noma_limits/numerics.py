@@ -203,13 +203,19 @@ def reg_lower_gamma(k: int, x: float) -> float:
             if abs(delta) < abs(total) * _EPS:
                 return total * math.exp(k * math.log(x) - x - math.lgamma(k))
         raise NonConvergenceError(f"lower-gamma series stalled at k={k}, x={x}")
-    # complement is a finite Poisson sum for integer shape: exact route
-    u = math.exp(-x)
+    # complement is the Poisson(x) mass below k, a finite sum whose
+    # largest term is its last (x > k - 1); that term is formed in log
+    # space, since e^(-x) alone underflows for x > 745, and the sum runs
+    # downward until a geometric bound on the rest is below an ulp
+    j = k - 1
+    term = math.exp(j * math.log(x) - x - math.lgamma(k))
     q = 0.0
-    for j in range(k):
-        q += u
-        u *= x / (j + 1)
-    return max(0.0, 1.0 - q)
+    while True:
+        q += term
+        if j == 0 or term * j <= _EPS * q * (x - j):
+            return max(0.0, 1.0 - q)
+        term *= j / x
+        j -= 1
 
 
 # ----------------------------------------------------------------------

@@ -649,6 +649,8 @@ def gamma_from_eta(scheme: SchemeSpec, beta: float, eta: float,
         raise NoSolutionError(
             f"eta = {eta} does not exceed the universal minimum ln 2 = {LN2}")
 
+    # memoised: the bracket ends are evaluated again by the root finder
+    @functools.lru_cache(maxsize=None)
     def offset(t: float) -> float:
         g = math.exp(t)
         # scale the absolute rate target with the SNR: the rate itself is
@@ -661,19 +663,21 @@ def gamma_from_eta(scheme: SchemeSpec, beta: float, eta: float,
 
     step = math.log(10.0)
     t_lo = t_hi = 0.0
-    f0 = offset(0.0)
-    if f0 == 0.0:
+    f = offset(0.0)
+    if f == 0.0:
         return 1.0
-    if f0 < 0.0:
-        while offset(t_hi) < 0.0:
+    if f < 0.0:
+        while f < 0.0:
             t_hi += step
             if t_hi > 700.0:
                 raise NonConvergenceError(f"eta = {eta} not reached below gamma = 1e304")
+            f = offset(t_hi)
     else:
-        while offset(t_lo) > 0.0:
+        while f > 0.0:
             t_lo -= step
             if t_lo < -700.0:
                 raise NonConvergenceError(f"eta = {eta} not bracketed above gamma = 1e-304")
+            f = offset(t_lo)
     root_tol = Tolerance(rel=1e-11, abs=max(1e-12, eta * 1e-10), max_evals=tol.max_evals)
     t = find_root_bracketed(offset, t_lo, t_hi, root_tol)
     return math.exp(t)

@@ -368,6 +368,13 @@ class TestMcCommand:
         assert 0.0 < record["estimate"] < 0.02
         assert record["std_error"] == 0.0 and record["z_score"] == 0.0
 
+    def test_spectral_distance_at_a_large_load(self, capsys):
+        # e^(-beta) underflows at this load; the limit law must not
+        code, out, _ = run_cli(capsys, "mc", "esd", "--n", "2000", "--beta", "700",
+                               "--seed", "1")
+        assert code == 0
+        assert 0.0 < json.loads(out)["estimate"] < 0.05
+
     def test_one_draw_capacity_record(self, capsys):
         code, out, _ = run_cli(capsys, "mc", "copt", "--n", "100000", "--beta", "1",
                                "--gamma", "10", "--seed", "5")
@@ -383,6 +390,12 @@ class TestMcCommand:
         record = json.loads(out)
         assert record["estimate"] == pytest.approx(
             record["analytic_reference"], rel=0.05)
+
+    def test_oversized_dense_matrix_is_a_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "mc", "ds-logdet", "--n", "2048",
+                                 "--beta", "100", "--gamma", "1", "--trials", "1")
+        assert code == 2 and out == ""
+        assert "spreading entries" in err
 
     def test_independence_record(self, capsys):
         code, out, _ = run_cli(capsys, "mc", "independence", "--n", "1000",

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from noma_limits import ensemble_lab
 from noma_limits.combinatorics import EnsembleKind, exact_moments
 from noma_limits.ensemble_lab import (
     _STREAM_DS,
+    _STREAM_INDEP,
     _STREAM_SUMF,
     GramDiagonal,
-    _count_groups,
     _count_law,
     _generator,
     _logdet_capacity,
@@ -50,7 +51,6 @@ class TestDrawSystem:
         b = draw_system(50, 80, 123)
         c = draw_system(50, 80, 124)
         assert np.array_equal(a.positions, b.positions)
-        assert np.array_equal(a.signs, b.signs)
         assert np.array_equal(a.fade_powers, b.fade_powers)
         assert not np.array_equal(a.fade_powers, c.fade_powers)
 
@@ -60,7 +60,6 @@ class TestDrawSystem:
 
     def test_field_ranges(self):
         draw = draw_system(40, 500, 99)
-        assert set(np.unique(draw.signs)) <= {-1, 1}
         assert draw.positions.min() >= 1 and draw.positions.max() <= 40
         assert draw.fade_powers.min() >= 0.0
 
@@ -89,7 +88,7 @@ class TestDrawSystem:
     def test_validates_field_lengths(self):
         with pytest.raises(DomainError):
             SystemDraw(n_dims=4, n_users=3, positions=np.array([1, 2]),
-                       signs=np.array([1, -1, 1]), fade_powers=np.ones(3), seed=0)
+                       fade_powers=np.ones(3), seed=0)
 
 
 # ----------------------------------------------------------------------
@@ -99,7 +98,7 @@ class TestDrawSystem:
 class TestGramDiagonal:
     def test_single_user_places_its_power(self):
         draw = SystemDraw(n_dims=4, n_users=1, positions=np.array([3]),
-                          signs=np.array([1]), fade_powers=np.array([2.5]), seed=0)
+                          fade_powers=np.array([2.5]), seed=0)
         assert list(gram_diagonal(draw).values) == [0.0, 0.0, 2.5, 0.0]
 
     def test_mass_conservation(self):
@@ -110,13 +109,15 @@ class TestGramDiagonal:
                 float(np.sum(draw.fade_powers)), rel=1e-13)
 
     def test_matches_brute_force_matrix_product(self):
-        # materialize S and the fading diagonal explicitly: one-sparse
-        # columns make every off-diagonal Gram entry structurally zero
+        # materialize S with random +-1 chips and the fading diagonal
+        # explicitly: one-sparse columns make every off-diagonal Gram
+        # entry structurally zero, whatever the signs
+        rng = np.random.Generator(np.random.Philox(key=[12, 34]))
         for seed in range(6):
             n_dims, n_users = 8, 16
             draw = draw_system(n_dims, n_users, 1000 + seed)
             s = np.zeros((n_dims, n_users))
-            s[draw.positions - 1, np.arange(n_users)] = draw.signs
+            s[draw.positions - 1, np.arange(n_users)] = rng.choice([-1.0, 1.0], size=n_users)
             m = s @ np.diag(draw.fade_powers) @ s.T
             off_diag = m - np.diag(np.diagonal(m))
             assert np.all(off_diag == 0.0)
@@ -236,9 +237,30 @@ class TestLsdMixture:
             each = np.array([mix.cdf(float(x)) for x in xs])
             assert np.allclose(many, each, rtol=1e-10, atol=1e-13)
 
+    @pytest.mark.parametrize("beta", [745.0, 746.0, 1e4])
+    def test_weights_sum_to_one_at_large_loads(self, beta):
+        # e^(-beta) underflows here; the weights are walked from the mode
+        mix = LsdMixture(beta)
+        total = mix.atom_weight + float(np.sum(mix.component_weights))
+        assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("beta, x, expected", [
+        # mpmath at 40 digits: Poisson(beta) weights times the
+        # regularized lower gamma, summed over every shape that matters
+        (700.0, 760.0, 0.94336845366510591),
+        (746.0, 700.0, 0.11571392009175746),
+        (746.0, 800.0, 0.91717313711130682),
+    ])
+    def test_large_load_cdf_matches_mpmath(self, beta, x, expected):
+        mix = LsdMixture(beta)
+        assert mix.cdf(x) == pytest.approx(expected, rel=1e-10)
+        assert mix.cdf_many(np.array([x]))[0] == pytest.approx(expected, rel=1e-10)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
             LsdMixture(0.0)
+        with pytest.raises(DomainError):
+            LsdMixture(1.1e5)
         mix = LsdMixture(1.0)
         with pytest.raises(DomainError):
             mix.cdf(float("nan"))
@@ -324,13 +346,14 @@ class TestMcSumfRate:
 
 class TestCollisionCountLaw:
     """The grouped draw behind mc_sumf_rate: how many of a block's
-    samples take each collision count c ~ Binomial(K - 1, 1/N)."""
+    samples take each collision count c ~ Binomial(K - 1, 1/N), drawn
+    as one multinomial over the pmf from _count_law."""
 
     @staticmethod
     def _groups(n_dims, n_users, m, seed=5, block=0):
-        first, law = _count_law(n_users - 1, 1.0 / n_dims)
-        sizes = _count_groups(_generator(seed, _STREAM_SUMF, block), law, m)
-        return np.arange(first, first + len(sizes)), np.array(sizes)
+        first, pmf = _count_law(n_users - 1, 1.0 / n_dims)
+        sizes = _generator(seed, _STREAM_SUMF, block).multinomial(m, pmf)
+        return np.arange(first, first + len(sizes)), sizes
 
     @pytest.mark.parametrize("m", [1, 7, 1_000_000])
     def test_each_block_places_every_sample(self, m):
@@ -360,15 +383,47 @@ class TestCollisionCountLaw:
         counts, sizes = self._groups(100, 1, 1000)
         assert list(counts) == [0] and list(sizes) == [1000]
 
-    def test_chain_reproduces_the_exact_pmf(self):
+    def test_pmf_matches_the_exact_binomial(self):
         n, p = 20, 0.3
-        first, law = _count_law(n, p)
-        assert first == 0 and len(law) == n + 1 and law[-1] == 1.0
-        survive = 1.0
-        for c, h in enumerate(law):
+        first, pmf = _count_law(n, p)
+        assert first == 0 and len(pmf) == n + 1
+        for c, value in enumerate(pmf):
             exact = math.comb(n, c) * p ** c * (1.0 - p) ** (n - c)
-            assert survive * h == pytest.approx(exact, rel=1e-12)
-            survive *= 1.0 - h
+            assert value == pytest.approx(exact, rel=1e-12)
+
+
+class TestEstimatorDomain:
+    """The three estimators share ChannelPoint's (beta, gamma) checks and
+    one user-count check."""
+
+    RUNS = {
+        "sumf": lambda beta, gamma: mc_sumf_rate(100, beta, gamma, 10, 0),
+        "logdet": lambda beta, gamma: mc_ds_fading_logdet(16, beta, gamma, 2, 0),
+        "independence": lambda beta, gamma: independence_diagnostic(100, beta, 10, 0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf"), "1"])
+    def test_rejects_bad_load(self, name, beta):
+        with pytest.raises(DomainError, match="beta must be a positive finite real"):
+            self.RUNS[name](beta, 1.0)
+
+    @pytest.mark.parametrize("name", ["sumf", "logdet"])
+    @pytest.mark.parametrize("gamma", [-1.0, float("nan"), float("inf")])
+    def test_rejects_bad_snr(self, name, gamma):
+        with pytest.raises(DomainError, match="gamma must be a nonnegative finite real"):
+            self.RUNS[name](1.0, gamma)
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_rejects_zero_users(self, name):
+        with pytest.raises(DomainError, match="rounds to zero users"):
+            self.RUNS[name](0.001, 1.0)
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    @pytest.mark.parametrize("beta", [1e19, 1e300])
+    def test_rejects_more_than_2_to_the_31_users(self, name, beta):
+        with pytest.raises(DomainError, match="users exceeds the limit"):
+            self.RUNS[name](beta, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -392,11 +447,6 @@ class TestMcDsFadingLogdet:
         expected = exp_integral_en_scaled(1, 1.0 / gamma) / LN2
         assert combined_z(est.mean, est.std_error, expected, 0.0) < 4.0
 
-    def test_binary_and_gaussian_entries_agree(self):
-        a = mc_ds_fading_logdet(64, 1.0, 3.0, 60, 5, entries="binary")
-        b = mc_ds_fading_logdet(64, 1.0, 3.0, 60, 5, entries="gaussian")
-        assert combined_z(a.mean, a.std_error, b.mean, b.std_error) < 5.0
-
     def test_approaches_fixed_point_rate(self, golden):
         entry = golden["mc_ds_logdet_b0.5_g10_n256"]
         est = mc_ds_fading_logdet(256, entry["beta"], entry["gamma"],
@@ -407,11 +457,21 @@ class TestMcDsFadingLogdet:
             ChannelPoint(entry["beta"], entry["gamma"])).bits_per_dim
         assert est.mean == pytest.approx(analytic, rel=0.02)
 
-    def test_rejects_oversized_system_and_bad_entries(self):
+    def test_rejects_oversized_system(self):
         with pytest.raises(DomainError):
             mc_ds_fading_logdet(4096, 1.0, 1.0, 2, 0)
-        with pytest.raises(DomainError):
-            mc_ds_fading_logdet(16, 1.0, 1.0, 2, 0, entries="ternary")
+
+    def test_rejects_more_than_2_to_the_24_spreading_entries(self, monkeypatch):
+        def no_draws(*_args):
+            raise AssertionError("drew before checking the matrix size")
+
+        monkeypatch.setattr(ensemble_lab, "_generator", no_draws)
+        with pytest.raises(DomainError, match="spreading entries"):
+            mc_ds_fading_logdet(2048, 100.0, 1.0, 1, 0)
+        with pytest.raises(DomainError, match="spreading entries"):
+            mc_ds_fading_logdet(2048, 8193 / 2048, 1.0, 1, 0)
+        with pytest.raises(AssertionError, match="drew before"):
+            mc_ds_fading_logdet(2048, 4.0, 1.0, 1, 0)  # exactly 2^24 entries
 
     @pytest.mark.parametrize("n_dims, n_users", [(1, 1), (8, 4), (8, 8), (8, 16), (64, 32)])
     def test_logdet_matches_complex_slogdet(self, n_dims, n_users):
@@ -503,6 +563,27 @@ class TestIndependenceDiagnostic:
         s2 = np.sum(np.where(positions == 1, powers, 0.0), axis=1)
         full = float(np.corrcoef(s1, s2)[0, 1])
         assert shortcut == pytest.approx(full, abs=0.02)
+
+    @pytest.mark.parametrize("n_dims, beta", [(50, 2.0), (10, 1000.0)])
+    def test_block_sums_match_two_pass_pearson(self, monkeypatch, n_dims, beta):
+        # five blocks, the last one short; the reference keeps every draw
+        monkeypatch.setattr(ensemble_lab, "_BLOCK", 1000)
+        n_draws, seed = 4500, 8
+        n_users = round(beta * n_dims)
+        s1, s2 = [], []
+        for block in range(5):
+            rng = _generator(seed, _STREAM_INDEP, block)
+            k1 = rng.binomial(n_users, 1.0 / n_dims, size=min(1000, n_draws - 1000 * block))
+            k2 = rng.binomial(n_users - k1, 1.0 / (n_dims - 1))
+            s1.append(rng.standard_gamma(k1))
+            s2.append(rng.standard_gamma(k2))
+        d1 = np.concatenate(s1)
+        d2 = np.concatenate(s2)
+        d1 -= d1.mean()
+        d2 -= d2.mean()
+        expected = float(np.sum(d1 * d2)) / math.sqrt(float(np.sum(d1 * d1) * np.sum(d2 * d2)))
+        corr = independence_diagnostic(n_dims, beta, n_draws, seed)
+        assert corr == pytest.approx(expected, rel=0.0, abs=1e-12)
 
     def test_rejects_single_dimension(self):
         with pytest.raises(DomainError):

@@ -127,6 +127,16 @@ class TestRegLowerGamma:
         assert reg_lower_gamma(3, 20.0) == pytest.approx(1.0, abs=1e-6)
         assert reg_lower_gamma(3, 80.0) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("k, x, expected", [
+        # mpmath at 40 digits; e^(-x) alone underflows at x = 760 and is
+        # subnormal at x = 744
+        (700, 760.0, 0.98674176241397429),
+        (740, 744.0, 0.56317630964517403),
+        (1000, 1100.0, 0.99894067674607002),
+    ])
+    def test_large_arguments_match_mpmath(self, k, x, expected):
+        assert reg_lower_gamma(k, x) == pytest.approx(expected, rel=1e-11)
+
     def test_monotone_in_argument(self):
         for k in (1, 2, 6):
             grid = [0.1 * i for i in range(1, 60)]

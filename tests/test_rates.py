@@ -7,6 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from noma_limits import rates
 from noma_limits.errors import (
     DegenerateRateError,
     DomainError,
@@ -601,6 +602,28 @@ class TestEtaConversions:
         for eta in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(DomainError):
                 gamma_from_eta(scheme, 1.0, eta)
+
+    @pytest.mark.parametrize("name, beta, eta, expected", [
+        # float.hex of each root as found before the SNR probes were
+        # memoised; the bracket walks up from gamma = 1 in the first two
+        # and last cases, and down in the third
+        ("lds-sumf-fading", 1.0, 10.0, "0x1.4036c648a8892p+4"),
+        ("ds-mmse-fading", 2.0, 10.0, "0x1.3602e9607e965p+3"),
+        ("lds-opt-fading", 0.5, 1.0, "0x1.e38cb1e1f1c58p-2"),
+        ("ds-opt-nofading", 3.0, 1e4, "0x1.bd9f35b83614ap+15"),
+    ])
+    def test_inversion_evaluates_each_snr_once(self, monkeypatch, name, beta, eta, expected):
+        seen = []
+        forward = rates.eta_from_gamma
+
+        def recording(scheme, beta_, gamma, *args):
+            seen.append(gamma)
+            return forward(scheme, beta_, gamma, *args)
+
+        monkeypatch.setattr(rates, "eta_from_gamma", recording)
+        gamma = gamma_from_eta(SchemeSpec.parse(name), beta, eta)
+        assert len(seen) == len(set(seen))
+        assert gamma == float.fromhex(expected)
 
 
 # ----------------------------------------------------------------------
