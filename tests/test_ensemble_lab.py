@@ -383,10 +383,13 @@ class TestCollisionCountLaw:
         counts, sizes = self._groups(100, 1, 1000)
         assert list(counts) == [0] and list(sizes) == [1000]
 
-    def test_pmf_matches_the_exact_binomial(self):
+    def test_chain_reproduces_the_exact_pmf(self):
+        # _count_law walks term ratios out from the mode; the multinomial
+        # takes its last probability as what the others leave
         n, p = 20, 0.3
         first, pmf = _count_law(n, p)
         assert first == 0 and len(pmf) == n + 1
+        assert math.fsum(pmf) == pytest.approx(1.0, rel=0.0, abs=1e-12)
         for c, value in enumerate(pmf):
             exact = math.comb(n, c) * p ** c * (1.0 - p) ** (n - c)
             assert value == pytest.approx(exact, rel=1e-12)
