@@ -10,8 +10,11 @@ Subcommands:
 
 Exit codes: 0 success; 1 verification failure; 2 usage or domain error;
 3 I/O error.  All numbers are printed with 9 significant digits; JSON
-records use lexicographic key order.  ``NOMA_LIMITS_THREADS`` caps the
-sweep worker count (0 = auto).
+records use lexicographic key order.  ``curve`` computes each scheme's
+rows in grid order, each inversion starting from the previous rows'
+roots, and ``NOMA_LIMITS_THREADS`` caps the workers over schemes
+(0 = auto).  numpy, the Monte Carlo lab and the verification suite are
+imported only by ``mc`` and ``verify``.
 """
 
 from __future__ import annotations
@@ -21,18 +24,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .combinatorics import EnsembleKind, exact_moments, moment_coefficients
-from .ensemble_lab import (
-    LsdMixture,
-    draw_system,
-    empirical_lsd_cdf_distance,
-    gram_diagonal,
-    mc_ds_fading_logdet,
-    mc_sumf_rate,
-    independence_diagnostic,
-)
 from .errors import NomaLimitsError, NoSolutionError
 from .parallel import thread_map
 from .rates import (
@@ -45,7 +37,6 @@ from .rates import (
     spectral_efficiency,
     sumf_rate_lds_fading,
 )
-from .verification import DEFAULT_SEED, run_suite
 
 __all__ = ["main", "entry", "SweepSpec", "fmt9"]
 
@@ -148,22 +139,45 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 # curve
 # ----------------------------------------------------------------------
 
-def _curve_row(spec: SweepSpec, x: float, scheme: SchemeSpec) -> tuple[str, str | None]:
-    """One CSV row; the second element carries a warning when the point
-    has no value (the rate and gamma cells are then left empty)."""
+def _curve_row(spec: SweepSpec, x: float, scheme: SchemeSpec,
+               guess: float | None) -> tuple[str, str | None, float | None]:
+    """One CSV row, a warning when the point has no value (the rate and
+    gamma cells are then left empty), and the SNR found, if any."""
     if spec.x_axis == "load":
         beta, eta_db = x, spec.fixed_value
     else:
         beta, eta_db = spec.fixed_value, x
     try:
-        gamma = gamma_from_eta(scheme, beta, _eta_db_to_linear(eta_db))
+        gamma = gamma_from_eta(scheme, beta, _eta_db_to_linear(eta_db), guess=guess)
         rate = spectral_efficiency(scheme, ChannelPoint(beta, gamma)).bits_per_dim
     except NomaLimitsError as exc:
         row = f"{fmt9(x)},{scheme.name},{fmt9(beta)},,{fmt9(eta_db)},"
-        return row, f"curve: {scheme.name} at x={fmt9(x)}: {exc}"
+        return row, f"curve: {scheme.name} at x={fmt9(x)}: {exc}", None
     row = (f"{fmt9(x)},{scheme.name},{fmt9(beta)},{fmt9(gamma)},"
            f"{fmt9(eta_db)},{fmt9(rate)}")
-    return row, None
+    return row, None, gamma
+
+
+def _curve_chain(spec: SweepSpec, scheme: SchemeSpec) -> list[tuple[str, str | None]]:
+    """The rows of one scheme in grid order.  Each inversion starts from
+    the previous root, extrapolated in log gamma once there are two: on a
+    smooth curve the next root is then within a few steps of 0.01."""
+    rows = []
+    prev = last = None
+    for x in spec.grid():
+        if last is None:
+            guess = None
+        elif prev is None:
+            guess = last
+        else:
+            guess = last * (last / prev)
+            if not 0.0 < guess < math.inf:
+                guess = last
+        row, warning, gamma = _curve_row(spec, x, scheme, guess)
+        rows.append((row, warning))
+        # a point without a value restarts the chain cold
+        prev, last = (last, gamma) if gamma is not None else (None, None)
+    return rows
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
@@ -187,20 +201,21 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         print(f"curve: {exc}", file=sys.stderr)
         return 2
 
-    tasks = [(x, scheme) for x in spec.grid() for scheme in spec.schemes]
     try:
-        results = thread_map(lambda t: _curve_row(spec, t[0], t[1]), tasks)
+        chains = thread_map(lambda scheme: _curve_chain(spec, scheme), spec.schemes)
     except NomaLimitsError as exc:
         print(f"curve: {exc}", file=sys.stderr)
         return 2
     # deterministic output order regardless of how the work was scheduled
-    order = sorted(range(len(tasks)), key=lambda i: (tasks[i][0], tasks[i][1].name))
+    names = [scheme.name for scheme in spec.schemes]
+    order = sorted(range(len(names)), key=names.__getitem__)
     lines = [_CSV_HEADER]
-    for i in order:
-        row, warning = results[i]
-        if warning is not None:
-            print(warning, file=sys.stderr)
-        lines.append(row)
+    for i in range(spec.n_points):
+        for c in order:
+            row, warning = chains[c][i]
+            if warning is not None:
+                print(warning, file=sys.stderr)
+            lines.append(row)
     payload = "\n".join(lines) + "\n"
     return _write_text(args.out, payload)
 
@@ -240,6 +255,18 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 def _mc_record(args: argparse.Namespace) -> dict:
+    import numpy as np
+
+    from .ensemble_lab import (
+        LsdMixture,
+        draw_system,
+        empirical_lsd_cdf_distance,
+        gram_diagonal,
+        independence_diagnostic,
+        mc_ds_fading_logdet,
+        mc_sumf_rate,
+    )
+
     kind = args.kind
     beta = args.beta
     if kind == "sumf":
@@ -250,7 +277,7 @@ def _mc_record(args: argparse.Namespace) -> dict:
         return _record(est.mean, est.std_error, args.samples, args.seed, ref)
     if kind == "copt":
         _require(args.gamma is not None, "--gamma is required for copt")
-        draw = draw_system(args.n, round(beta * args.n), args.seed)
+        draw = draw_system(args.n, _users(args), args.seed)
         values = gram_diagonal(draw).values
         terms = np.log1p(args.gamma * values) / LN2
         est = float(terms.mean())
@@ -258,7 +285,7 @@ def _mc_record(args: argparse.Namespace) -> dict:
         ref = opt_se_lds_fading(ChannelPoint(beta, args.gamma)).bits_per_dim
         return _record(est, se, args.n, args.seed, ref)
     if kind == "esd":
-        draw = draw_system(args.n, round(beta * args.n), args.seed)
+        draw = draw_system(args.n, _users(args), args.seed)
         dist = empirical_lsd_cdf_distance(gram_diagonal(draw), LsdMixture(beta))
         return _record(dist, 0.0, args.n, args.seed, 0.0)
     if kind == "ds-logdet":
@@ -271,6 +298,15 @@ def _mc_record(args: argparse.Namespace) -> dict:
     _require(args.samples is not None, "--samples is required for independence")
     corr = independence_diagnostic(args.n, beta, args.samples, args.seed)
     return _record(corr, 1.0 / math.sqrt(args.samples), args.samples, args.seed, 0.0)
+
+
+def _users(args: argparse.Namespace) -> int:
+    """beta * n rounded to a user count; draw_system checks its range."""
+    try:
+        return round(args.beta * args.n)
+    except (OverflowError, ValueError):
+        raise NomaLimitsError(
+            f"beta * n is not a finite user count (beta={args.beta}, n={args.n})") from None
 
 
 def _require(cond: bool, message: str) -> None:
@@ -301,7 +337,9 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = run_suite(args.suite, args.seed)
+    from .verification import DEFAULT_SEED, run_suite
+
+    report = run_suite(args.suite, DEFAULT_SEED if args.seed is None else args.seed)
     status = _write_text(args.out, report.to_json())
     if status != 0:
         return status
@@ -375,7 +413,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify_p = sub.add_parser("verify", help="run the verification suite")
     verify_p.add_argument("--suite", choices=("fast", "full"), default="fast")
-    verify_p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    verify_p.add_argument("--seed", type=int,
+                          help="default: the suite's own seed, verification.DEFAULT_SEED")
     verify_p.add_argument("--out", help="output JSON path (default: stdout)")
     verify_p.set_defaults(fn=_cmd_verify)
     return parser

@@ -43,6 +43,9 @@ _MASK64 = (1 << 64) - 1
 _BLOCK = 1_000_000
 _MAX_ENTRIES = 1 << 24  # largest dense spreading matrix, about 128 MB of float64
 _MAX_USERS = 1 << 31  # the count law spans about 37 sqrt(K) counts at N = 2
+# largest system draw_system builds: 24 bytes per user (position, power,
+# and the shifted positions gram_diagonal bins), about 400 MB at the limit
+_MAX_DRAW = 1 << 24
 
 # stream tags keep independent estimators on disjoint key spaces
 _STREAM_SYSTEM = 1
@@ -130,9 +133,10 @@ class McEstimate:
 
 def draw_system(n_dims: int, n_users: int, seed: int) -> SystemDraw:
     """Draw one system: uniform dimension per user, Exp(1) fading power.
-    Deterministic in (n_dims, n_users, seed)."""
-    n_dims = _check_size("n_dims", n_dims)
-    n_users = _check_size("n_users", n_users)
+    Deterministic in (n_dims, n_users, seed).  Each size is at most
+    2^24; a larger one raises DomainError before anything is allocated."""
+    n_dims = _check_size("n_dims", n_dims, _MAX_DRAW)
+    n_users = _check_size("n_users", n_users, _MAX_DRAW)
     rng = _generator(seed, _STREAM_SYSTEM)
     positions = rng.integers(1, n_dims + 1, size=n_users)
     fade_powers = rng.standard_exponential(n_users)

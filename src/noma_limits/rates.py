@@ -626,6 +626,9 @@ def high_snr_slope(scheme: SchemeSpec, beta: float) -> float:
 # Energy-per-bit conversions
 # ----------------------------------------------------------------------
 
+_T_LIMIT = 700.0  # |ln gamma| searched by gamma_from_eta
+
+
 def eta_from_gamma(scheme: SchemeSpec, beta: float, gamma: float,
                    tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """Energy per bit over noise level at the given per-symbol SNR."""
@@ -639,11 +642,24 @@ def eta_from_gamma(scheme: SchemeSpec, beta: float, gamma: float,
 
 
 def gamma_from_eta(scheme: SchemeSpec, beta: float, eta: float,
-                   tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+                   tol: Tolerance = DEFAULT_TOLERANCE,
+                   guess: float | None = None) -> float:
     """Per-symbol SNR at which the scheme operates at the given energy
-    per bit.  Raises NoSolutionError at or below the ln 2 minimum."""
+    per bit.  Raises NoSolutionError at or below the ln 2 minimum.
+
+    eta grows with gamma, so the root of eta(gamma) - eta in t = ln gamma
+    is bracketed by walking t until the sign changes, and then found by
+    Brent's method.  Without ``guess`` the walk starts at gamma = 1 and
+    goes by decades.  With a ``guess`` (the root of a nearby problem, as
+    in a sweep) it starts at ln(guess) with a step of 0.01 that doubles
+    each time, up to one decade.  NonConvergenceError is raised unless
+    the returned gamma reproduces eta to the root tolerance.
+    """
     if not (isinstance(eta, (int, float)) and math.isfinite(eta) and eta > 0):
         raise DomainError(f"eta must be a positive finite real, got {eta!r}")
+    if guess is not None and not (isinstance(guess, (int, float))
+                                  and math.isfinite(guess) and guess > 0):
+        raise DomainError(f"guess must be a positive finite real, got {guess!r}")
     _require_supported(scheme)
     if eta <= LN2:
         raise NoSolutionError(
@@ -661,23 +677,43 @@ def gamma_from_eta(scheme: SchemeSpec, beta: float, eta: float,
                               max_evals=tol.max_evals)
         return eta_from_gamma(scheme, beta, g, point_tol) - eta
 
-    step = math.log(10.0)
-    t_lo = t_hi = 0.0
-    f = offset(0.0)
+    decade = math.log(10.0)
+    if guess is None:
+        step, growth = decade, 1.0
+        t_lo = t_hi = 0.0
+    else:
+        step, growth = 0.01, 2.0
+        t_lo = t_hi = min(max(math.log(guess), -_T_LIMIT), _T_LIMIT)
+    f = offset(t_lo)
     if f == 0.0:
-        return 1.0
+        return math.exp(t_lo)
     if f < 0.0:
         while f < 0.0:
+            if guess is not None:
+                t_lo = t_hi
             t_hi += step
-            if t_hi > 700.0:
+            step = min(step * growth, decade)
+            if t_hi > _T_LIMIT:
                 raise NonConvergenceError(f"eta = {eta} not reached below gamma = 1e304")
             f = offset(t_hi)
     else:
         while f > 0.0:
+            if guess is not None:
+                t_hi = t_lo
             t_lo -= step
-            if t_lo < -700.0:
+            step = min(step * growth, decade)
+            if t_lo < -_T_LIMIT:
                 raise NonConvergenceError(f"eta = {eta} not bracketed above gamma = 1e-304")
             f = offset(t_lo)
     root_tol = Tolerance(rel=1e-11, abs=max(1e-12, eta * 1e-10), max_evals=tol.max_evals)
     t = find_root_bracketed(offset, t_lo, t_hi, root_tol)
+    # Brent stops once |offset| <= abs or the bracket is narrower than
+    # rel |t|; as d ln(eta)/d ln(gamma) lies in [0, 1], the latter
+    # leaves |offset| <= eta rel |t|.  A larger residual means the sign
+    # change was a jump, not a root.  offset(t) was evaluated by the
+    # root finder, so this reads the cache.
+    residual = offset(t)
+    if not abs(residual) <= root_tol.abs + eta * root_tol.rel * abs(t):
+        raise NonConvergenceError(
+            f"gamma = {math.exp(t)!r} gives eta {residual + eta!r}, not {eta!r}")
     return math.exp(t)

@@ -4,14 +4,22 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
+from noma_limits import cli
 from noma_limits.cli import SweepSpec, fmt9, main
 from noma_limits.rates import SchemeSpec
 from noma_limits.verification import CRITERIA
 
 CSV_HEADER = "x,scheme,beta,gamma,eta_db,rate_bits_per_dim"
+# the paper's figure: rate against load at 10 dB for the eight curves
+PAPER_SWEEP = ("curve", "--scheme",
+               "lds-sumf-fading,lds-sumf-nofading,lds-opt-fading,lds-opt-nofading,"
+               "ds-mmse-fading,ds-mmse-nofading,ds-opt-fading,ds-opt-nofading",
+               "--eta-db", "10", "--range", "0.1", "10", "--points", "48",
+               "--spacing", "log")
 
 
 def run_cli(capsys, *argv):
@@ -269,6 +277,33 @@ class TestCurveCommand:
         _, threaded, _ = run_cli(capsys, *argv)
         assert serial == threaded
 
+    def test_serial_and_default_pool_print_the_same_bytes(self, capsys, monkeypatch):
+        monkeypatch.setenv("NOMA_LIMITS_THREADS", "1")
+        _, serial, _ = run_cli(capsys, *PAPER_SWEEP)
+        monkeypatch.delenv("NOMA_LIMITS_THREADS")
+        _, pooled, _ = run_cli(capsys, *PAPER_SWEEP)
+        assert serial == pooled
+
+    def test_warm_started_rows_match_cold_inversions(self, capsys, monkeypatch):
+        # every row of the paper's load sweep starts its inversion from
+        # the previous rows' roots; each root must be the cold one
+        calls = []
+        warm = cli.gamma_from_eta
+
+        def recording(scheme, beta, eta, *args, guess=None, **kwargs):
+            gamma = warm(scheme, beta, eta, *args, guess=guess, **kwargs)
+            calls.append((scheme, beta, eta, guess, gamma))
+            return gamma
+
+        monkeypatch.setattr(cli, "gamma_from_eta", recording)
+        code, out, _ = run_cli(capsys, *PAPER_SWEEP)
+        assert code == 0 and len(parse_csv(out)) == 384
+        assert len(calls) == 384
+        assert sum(guess is None for _, _, _, guess, _ in calls) == 8
+        for scheme, beta, eta, _, gamma in calls:
+            cold = warm(scheme, beta, eta)
+            assert gamma == pytest.approx(cold, rel=1e-9, abs=0.0), (scheme.name, beta)
+
     def test_malformed_worker_count_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("NOMA_LIMITS_THREADS", "abc")
         code, _, err = run_cli(capsys, "curve", "--scheme", "lds-opt-fading",
@@ -396,6 +431,27 @@ class TestMcCommand:
                                  "--beta", "100", "--gamma", "1", "--trials", "1")
         assert code == 2 and out == ""
         assert "spreading entries" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("esd", "--n", "1", "--beta", "1e30"), "n_users must be <= 16777216"),
+        (("esd", "--n", "1000000", "--beta", "10000"), "n_users must be <= 16777216"),
+        (("copt", "--n", "1000000", "--beta", "10000", "--gamma", "1"),
+         "n_users must be <= 16777216"),
+        (("esd", "--n", "100000000", "--beta", "0.001"), "n_dims must be <= 16777216"),
+        (("esd", "--n", "10", "--beta", "nan"), "not a finite user count"),
+        (("copt", "--n", "10", "--beta", "1e308", "--gamma", "1"), "not a finite user count"),
+    ])
+    def test_oversized_system_is_a_domain_error(self, capsys, argv, message):
+        # the sizes are checked before the draw allocates anything
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "mc", *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert message in err
+        assert peak < 1 << 20
 
     def test_independence_record(self, capsys):
         code, out, _ = run_cli(capsys, "mc", "independence", "--n", "1000",

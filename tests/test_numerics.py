@@ -1,9 +1,13 @@
 """Scalar substrate: special functions, quadrature, series, root finding."""
 
+import importlib.util
 import math
+import random
+from pathlib import Path
 
 import pytest
 
+from noma_limits import numerics
 from noma_limits.errors import BadBracketError, DomainError, NonConvergenceError
 from noma_limits.numerics import (
     DEFAULT_TOLERANCE,
@@ -97,6 +101,51 @@ class TestExpIntegralEn:
     def test_rejects_bad_argument(self):
         with pytest.raises(DomainError):
             exp_integral_en(3, 0.0)
+
+
+def _load_anchor_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "make_e1_anchors.py"
+    spec = importlib.util.spec_from_file_location("make_e1_anchors", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestOrderOneKernel:
+    """The order-1 kernel shared by exp_integral_e1, exp_integral_en(1, .)
+    and exp_integral_en_scaled(1, .): series, anchored Taylor expansion
+    and continued fraction."""
+
+    @staticmethod
+    def _arguments() -> list[float]:
+        rng = random.Random(2024)
+        lo, hi = math.log(1e-300), math.log(1e300)
+        xs = [math.exp(rng.uniform(lo, hi)) for _ in range(3000)]
+        anchors = [x0 for x0, _ in numerics._E1_ANCHORS]
+        xs += anchors + [0.5 * (a + b) for a, b in zip(anchors, anchors[1:])]
+        # the ends of each route
+        xs += [1.0, math.nextafter(1.0, 2.0), math.nextafter(16.0, 0.0), 16.0]
+        return xs
+
+    def test_matches_mpmath_to_4e_15(self):
+        import mpmath
+
+        worst_plain = worst_scaled = 0.0
+        with mpmath.workdps(40):
+            for x in self._arguments():
+                ref = mpmath.e1(x)
+                ref_scaled = mpmath.exp(x) * ref
+                scaled = exp_integral_en_scaled(1, x)
+                worst_scaled = max(worst_scaled, float(abs(scaled / ref_scaled - 1)))
+                if x <= 690.0:  # beyond, e^-x leaves the normal range
+                    plain = exp_integral_e1(x)
+                    assert exp_integral_en(1, x) == plain
+                    worst_plain = max(worst_plain, float(abs(plain / ref - 1)))
+        assert worst_scaled <= 4e-15
+        assert worst_plain <= 4e-15
+
+    def test_anchor_table_is_rebuilt_bit_for_bit(self):
+        assert _load_anchor_tool().anchors() == numerics._E1_ANCHORS
 
 
 class TestExpIntegralEnScaled:

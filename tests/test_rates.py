@@ -13,6 +13,7 @@ from noma_limits.errors import (
     DomainError,
     NoSolutionError,
     NomaLimitsError,
+    NonConvergenceError,
     UnsupportedSchemeError,
 )
 from noma_limits.numerics import DEFAULT_TOLERANCE, Tolerance, exp_integral_en_scaled
@@ -603,16 +604,20 @@ class TestEtaConversions:
             with pytest.raises(DomainError):
                 gamma_from_eta(scheme, 1.0, eta)
 
-    @pytest.mark.parametrize("name, beta, eta, expected", [
-        # float.hex of each root as found before the SNR probes were
-        # memoised; the bracket walks up from gamma = 1 in the first two
-        # and last cases, and down in the third
-        ("lds-sumf-fading", 1.0, 10.0, "0x1.4036c648a8892p+4"),
-        ("ds-mmse-fading", 2.0, 10.0, "0x1.3602e9607e965p+3"),
-        ("lds-opt-fading", 0.5, 1.0, "0x1.e38cb1e1f1c58p-2"),
-        ("ds-opt-nofading", 3.0, 1e4, "0x1.bd9f35b83614ap+15"),
-    ])
-    def test_inversion_evaluates_each_snr_once(self, monkeypatch, name, beta, eta, expected):
+    # float.hex of each root: ``expected`` as found since the order-1
+    # exponential integral is a Taylor expansion about tabulated anchors,
+    # ``before`` as found with the continued fraction there (and before
+    # the SNR probes were memoised).  The bracket walks up from gamma = 1
+    # in the first two and last cases, and down in the third.
+    INVERSION_ROOTS = [
+        ("lds-sumf-fading", 1.0, 10.0, "0x1.4036c648a888fp+4", "0x1.4036c648a8892p+4"),
+        ("ds-mmse-fading", 2.0, 10.0, "0x1.3602e9607e960p+3", "0x1.3602e9607e965p+3"),
+        ("lds-opt-fading", 0.5, 1.0, "0x1.e38cb1e1f1c60p-2", "0x1.e38cb1e1f1c58p-2"),
+        ("ds-opt-nofading", 3.0, 1e4, "0x1.bd9f35b83614ap+15", "0x1.bd9f35b83614ap+15"),
+    ]
+
+    @staticmethod
+    def _record_snrs(monkeypatch) -> list:
         seen = []
         forward = rates.eta_from_gamma
 
@@ -621,9 +626,52 @@ class TestEtaConversions:
             return forward(scheme, beta_, gamma, *args)
 
         monkeypatch.setattr(rates, "eta_from_gamma", recording)
+        return seen
+
+    @pytest.mark.parametrize("name, beta, eta, expected, before", INVERSION_ROOTS)
+    def test_inversion_evaluates_each_snr_once(self, monkeypatch, name, beta, eta,
+                                               expected, before):
+        seen = self._record_snrs(monkeypatch)
         gamma = gamma_from_eta(SchemeSpec.parse(name), beta, eta)
         assert len(seen) == len(set(seen))
         assert gamma == float.fromhex(expected)
+        assert gamma == pytest.approx(float.fromhex(before), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name, beta, eta, expected, before", INVERSION_ROOTS)
+    @pytest.mark.parametrize("factor", [1.0, 1.003, 0.5, 1e3])
+    def test_warm_inversion_evaluates_each_snr_once(self, monkeypatch, name, beta, eta,
+                                                    expected, before, factor):
+        root = float.fromhex(expected)
+        seen = self._record_snrs(monkeypatch)
+        gamma = gamma_from_eta(SchemeSpec.parse(name), beta, eta, guess=root * factor)
+        assert len(seen) == len(set(seen))
+        assert gamma == pytest.approx(root, rel=1e-9, abs=0.0)
+
+    def test_warm_start_needs_fewer_evaluations(self, monkeypatch):
+        scheme = SchemeSpec.parse("ds-mmse-fading")
+        seen = self._record_snrs(monkeypatch)
+        cold = gamma_from_eta(scheme, 2.0, 10.0)
+        n_cold = len(seen)
+        seen.clear()
+        gamma_from_eta(scheme, 2.0, 10.0, guess=cold * 1.01)
+        assert len(seen) < n_cold
+
+    @pytest.mark.parametrize("guess", [0.0, -1.0, float("nan"), float("inf"), "1"])
+    def test_rejects_bad_guess(self, guess):
+        with pytest.raises(DomainError):
+            gamma_from_eta(SchemeSpec.parse("lds-opt-fading"), 1.0, 10.0, guess=guess)
+
+    @pytest.mark.parametrize("guess", [None, 2.0, 1e-3])
+    def test_jump_in_the_forward_rate_is_not_a_root(self, monkeypatch, guess):
+        # eta(gamma) wobbles and is not monotone, and it crosses the
+        # target only by a jump at gamma = 3; the bracket closes on the
+        # jump, where no gamma reproduces eta
+        def jumping(scheme, beta, gamma, *args):
+            return 10.0 * ((1.5 if gamma > 3.0 else 0.5) + 0.1 * math.sin(gamma))
+
+        monkeypatch.setattr(rates, "eta_from_gamma", jumping)
+        with pytest.raises(NonConvergenceError, match="not 10.0"):
+            gamma_from_eta(SchemeSpec.parse("lds-opt-fading"), 1.0, 10.0, guess=guess)
 
 
 # ----------------------------------------------------------------------
