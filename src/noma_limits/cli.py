@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 
 from .combinatorics import EnsembleKind, exact_moments, moment_coefficients
-from .errors import NomaLimitsError, NoSolutionError
+from .errors import DomainError, NomaLimitsError, NoSolutionError
 from .parallel import thread_map
 from .rates import (
     LN2,
@@ -41,6 +41,7 @@ from .rates import (
 __all__ = ["main", "entry", "SweepSpec", "fmt9"]
 
 _CSV_HEADER = "x,scheme,beta,gamma,eta_db,rate_bits_per_dim"
+_MAX_POINTS = 10_000  # grid points per sweep
 
 
 def fmt9(v: float) -> str:
@@ -76,13 +77,14 @@ class SweepSpec:
             raise ValueError(f"x_axis must be 'load' or 'ebn0-db', got {self.x_axis!r}")
         if self.spacing not in ("linear", "log"):
             raise ValueError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)
-                and self.x_min < self.x_max):
+        if not (math.isfinite(self.x_max - self.x_min) and self.x_min < self.x_max):
             raise ValueError(f"need x_min < x_max, got {self.x_min!r}, {self.x_max!r}")
         if self.spacing == "log" and self.x_min <= 0.0:
             raise ValueError("log spacing requires x_min > 0")
-        if self.n_points < 2:
-            raise ValueError(f"n_points must be >= 2, got {self.n_points}")
+        if self.spacing == "log" and not math.isfinite(self.x_max / self.x_min):
+            raise ValueError(f"x_max / x_min overflows, got {self.x_min!r}, {self.x_max!r}")
+        if not 2 <= self.n_points <= _MAX_POINTS:
+            raise ValueError(f"n_points must be between 2 and {_MAX_POINTS}, got {self.n_points}")
         if not self.schemes:
             raise ValueError("at least one scheme is required")
 
@@ -96,7 +98,10 @@ class SweepSpec:
 
 
 def _eta_db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise DomainError(f"energy per bit of {fmt9(db)} dB is out of range") from None
 
 
 def _eta_linear_to_db(eta: float) -> float:
@@ -258,7 +263,9 @@ def _mc_record(args: argparse.Namespace) -> dict:
     import numpy as np
 
     from .ensemble_lab import (
+        _MAX_DRAW,
         LsdMixture,
+        _user_count,
         draw_system,
         empirical_lsd_cdf_distance,
         gram_diagonal,
@@ -277,7 +284,7 @@ def _mc_record(args: argparse.Namespace) -> dict:
         return _record(est.mean, est.std_error, args.samples, args.seed, ref)
     if kind == "copt":
         _require(args.gamma is not None, "--gamma is required for copt")
-        draw = draw_system(args.n, _users(args), args.seed)
+        draw = draw_system(args.n, _user_count(args.n, beta, _MAX_DRAW), args.seed)
         values = gram_diagonal(draw).values
         terms = np.log1p(args.gamma * values) / LN2
         est = float(terms.mean())
@@ -285,7 +292,7 @@ def _mc_record(args: argparse.Namespace) -> dict:
         ref = opt_se_lds_fading(ChannelPoint(beta, args.gamma)).bits_per_dim
         return _record(est, se, args.n, args.seed, ref)
     if kind == "esd":
-        draw = draw_system(args.n, _users(args), args.seed)
+        draw = draw_system(args.n, _user_count(args.n, beta, _MAX_DRAW), args.seed)
         dist = empirical_lsd_cdf_distance(gram_diagonal(draw), LsdMixture(beta))
         return _record(dist, 0.0, args.n, args.seed, 0.0)
     if kind == "ds-logdet":
@@ -298,15 +305,6 @@ def _mc_record(args: argparse.Namespace) -> dict:
     _require(args.samples is not None, "--samples is required for independence")
     corr = independence_diagnostic(args.n, beta, args.samples, args.seed)
     return _record(corr, 1.0 / math.sqrt(args.samples), args.samples, args.seed, 0.0)
-
-
-def _users(args: argparse.Namespace) -> int:
-    """beta * n rounded to a user count; draw_system checks its range."""
-    try:
-        return round(args.beta * args.n)
-    except (OverflowError, ValueError):
-        raise NomaLimitsError(
-            f"beta * n is not a finite user count (beta={args.beta}, n={args.n})") from None
 
 
 def _require(cond: bool, message: str) -> None:

@@ -75,12 +75,18 @@ def _check_size(name: str, v: int, hi: int | None = None) -> int:
     return int(v)
 
 
-def _user_count(n_dims: int, beta: float) -> int:
-    n_users = round(beta * n_dims)
+def _user_count(n_dims: int, beta: float, limit: int = _MAX_USERS) -> int:
+    """beta * n_dims rounded to a user count in [1, limit]."""
+    try:
+        n_users = round(beta * n_dims)
+    except (OverflowError, ValueError):
+        # n_dims can be too long to print
+        raise DomainError(f"beta * n_dims is not a finite user count (beta={beta})") from None
     if n_users < 1:
         raise DomainError(f"beta * n_dims rounds to zero users (beta={beta}, n_dims={n_dims})")
-    if n_users > _MAX_USERS:
-        raise DomainError(f"beta * n_dims = {beta * n_dims:g} users exceeds the limit of 2^31")
+    if n_users > limit:
+        raise DomainError(f"beta * n_dims = {beta * n_dims:g} users exceeds the limit: "
+                          f"n_users must be <= {limit}")
     return n_users
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "Tolerance",
     "QuadResult",
     "DEFAULT_TOLERANCE",
-    "exp_integral_e1",
     "exp_integral_en",
     "exp_integral_en_scaled",
     "reg_lower_gamma",
@@ -38,6 +37,7 @@ _EULER_GAMMA = 0.5772156649015328606
 _EPS = 2.220446049250313e-16
 _TINY = 1e-300
 _SUBNORMAL_MIN = 5e-324  # smallest positive double
+_POISSON_MAX_TERMS = 10_000  # about 1e7 would lie in the window at beta = 1e12
 
 
 @dataclass(frozen=True)
@@ -91,32 +91,6 @@ def _require_order(n: int) -> None:
 # ----------------------------------------------------------------------
 # Exponential integrals
 # ----------------------------------------------------------------------
-
-def _en_series(n: int, x: float) -> float:
-    # Power series around x = 0 (used for 0 < x <= 1):
-    #   E_n(x) = [(-x)^(n-1)/(n-1)!] (psi(n) - ln x)
-    #            - sum_{m >= 0, m != n-1} (-x)^m / ((m - n + 1) m!)
-    # with psi(n) = -EulerGamma + sum_{i<n} 1/i.
-    psi = -_EULER_GAMMA + sum(1.0 / i for i in range(1, n))
-    if n - 1 <= 150:
-        lead = (-x) ** (n - 1) / math.factorial(n - 1)
-    else:
-        sign = -1.0 if (n - 1) % 2 else 1.0
-        lead = sign * math.exp((n - 1) * math.log(x) - math.lgamma(n))
-    total = lead * (psi - math.log(x))
-    fact = 1.0  # (-x)^m / m!
-    for m in range(0, 120):
-        if m > 0:
-            fact *= -x / m
-        if m == n - 1:
-            continue
-        term = -fact / (m - n + 1)
-        total += term
-        if m > n and abs(term) <= 0.5 * _EPS * abs(total):
-            return total
-    # terms fall like x^m/m!; 120 of them is far past double precision
-    return total
-
 
 def _en_cf_scaled(n: int, x: float) -> float:
     # Modified Lentz continued fraction for e^x E_n(x), stable for x > 1.
@@ -234,35 +208,17 @@ def _e1_scaled(x: float) -> float:
     return _en_cf_scaled(1, x)
 
 
-def exp_integral_e1(x: float) -> float:
-    """First-order exponential integral: integral of e^(-x t)/t over t in [1, inf).
-
-    Power series up to x = 1; above it, e^(-x) times the scaled value,
-    which comes from a Taylor expansion about the nearest of 37 tabulated
-    anchors on 1 < x < 16 and from the modified Lentz continued fraction
-    beyond.  Relative error is below 4e-15 across the positive axis.
-    """
-    _require_positive_finite("x", x)
-    if x <= 1.0:
-        return _e1_series(x)
-    return math.exp(-x) * _e1_scaled(x)
-
-
 def exp_integral_en(n: int, x: float) -> float:
     """Exponential integral of integer order n >= 1 at x > 0.
 
-    Order 1 is ``exp_integral_e1``.  Each higher order is evaluated
-    directly (series for x <= 1, continued fraction otherwise) rather
-    than by upward recurrence from order 1; the recurrence amplifies
-    rounding when x is large relative to n.
+    Order 1 takes its power series up to x = 1; everywhere else the
+    value is e^(-x) times ``exp_integral_en_scaled``.
     """
     _require_order(n)
-    if n == 1:
-        return exp_integral_e1(x)
     _require_positive_finite("x", x)
-    if x <= 1.0:
-        return _en_series(n, x)
-    return math.exp(-x) * _en_cf_scaled(n, x)
+    if n == 1 and x <= 1.0:
+        return _e1_series(x)
+    return math.exp(-x) * exp_integral_en_scaled(n, x)
 
 
 def exp_integral_en_scaled(n: int, x: float) -> float:
@@ -270,15 +226,23 @@ def exp_integral_en_scaled(n: int, x: float) -> float:
 
     The plain value underflows near x ~ 746 while the scaled one decays
     only like 1/x, so rate formulas work with this form throughout.
-    Order 1 takes the same kernel as ``exp_integral_e1``.
+    Order 1 takes its power series up to x = 1, a Taylor expansion about
+    the nearest of 37 tabulated anchors on 1 < x < 16 and the modified
+    Lentz continued fraction beyond; higher orders take the upward
+    recurrence from order 1 up to x = 1 and the continued fraction above.
     """
     _require_order(n)
     _require_positive_finite("x", x)
     if n == 1:
         return _e1_scaled(x)
-    if x <= 1.0:
-        return math.exp(x) * _en_series(n, x)
-    return _en_cf_scaled(n, x)
+    if x > 1.0:
+        return _en_cf_scaled(n, x)
+    # E_(q+1) = (e^-x - x E_q)/q (Abramowitz & Stegun 5.1.14): for
+    # x <= 1 each step scales the inherited error by x/q <= 1
+    e = _e1_scaled(x)
+    for q in range(1, n):
+        e = (1.0 - x * e) / q
+    return e
 
 
 # ----------------------------------------------------------------------
@@ -441,8 +405,7 @@ def _lower_tail_bound(beta: float, log_beta: float, m: int, growth: float) -> fl
 
 def poisson_weighted_sum(beta: float, term: Callable[[int], float],
                          term_growth_bound: float,
-                         tol: Tolerance = DEFAULT_TOLERANCE,
-                         hard_cap: int = 10_000) -> float:
+                         tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """Sum of e^(-beta) beta^k / k! * term(k) over k >= 1.
 
     The caller certifies |term(k)| <= term_growth_bound * log(2 + k).
@@ -453,8 +416,8 @@ def poisson_weighted_sum(beta: float, term: Callable[[int], float],
     found by bisection, as the bound increases with m.  Summation stops
     once a Chernoff bound on the upper tail mass, multiplied by a
     geometric-envelope bound on the remaining weighted terms, falls
-    below the other half of ``tol.abs``.  ``hard_cap`` limits the number
-    of terms summed.
+    below the other half of ``tol.abs``.  More than 10,000 terms raise
+    NonConvergenceError.
     """
     _require_positive_finite("beta", beta)
     if not (isinstance(term_growth_bound, (int, float))
@@ -474,9 +437,9 @@ def poisson_weighted_sum(beta: float, term: Callable[[int], float],
     k = lo
     while True:
         k += 1
-        if k - lo > hard_cap:
+        if k - lo > _POISSON_MAX_TERMS:
             raise NonConvergenceError(
-                f"Poisson series at load {beta} still above tolerance after {hard_cap} terms")
+                f"Poisson series at load {beta} still above tolerance after {k - 1 - lo} terms")
         weight = math.exp(-beta + k * log_beta - math.lgamma(k + 1.0))
         total += weight * term(k)
         if k <= beta:
@@ -506,10 +469,9 @@ def find_root_bracketed(g: Callable[[float], float], lo: float, hi: float,
 
     Returns the first point where |g| <= ``tol.abs``, an endpoint
     included, or the better end of a sign-change bracket once its width
-    falls below ``tol.rel`` times the root's magnitude.  Endpoints must
-    straddle a sign change; if they do not, a single midpoint probe
-    covers an even-order touch at the bracket center (e.g. x^2 on
-    [-1, 1]) before BadBracketError is raised.
+    falls below ``tol.rel`` times the root's magnitude.  Endpoints that
+    neither straddle a sign change nor meet ``tol.abs`` raise
+    BadBracketError.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
@@ -521,10 +483,6 @@ def find_root_bracketed(g: Callable[[float], float], lo: float, hi: float,
     if abs(f_hi) <= tol.abs:
         return hi
     if (f_lo > 0) == (f_hi > 0):
-        mid = 0.5 * (lo + hi)
-        f_mid = g(mid)
-        if abs(f_mid) <= tol.abs:
-            return mid
         raise BadBracketError(
             f"g({lo}) = {f_lo:.6e} and g({hi}) = {f_hi:.6e} have the same sign")
     # b is the best estimate, c the point across the sign change from b,

@@ -75,6 +75,10 @@ __all__ = [
 LN2 = math.log(2.0)
 _LN3 = math.log(3.0)
 _EXP_FLOOR = -745.0  # exp() underflows to 0 below this
+# largest load spectral_efficiency accepts: the routes are checked up to
+# here, and beyond it the Poisson weights overflow and the dense fixed
+# point rounds to zero
+_MAX_LOAD = 1e4
 
 
 @dataclass(frozen=True)
@@ -567,8 +571,10 @@ def _require_supported(scheme: SchemeSpec) -> None:
 def spectral_efficiency(scheme: SchemeSpec, point: ChannelPoint,
                         tol: Tolerance = DEFAULT_TOLERANCE) -> RateValue:
     """Rate of the given scheme at the given operating point, in bits
-    per dimension."""
+    per dimension.  Loads above 1e4 raise DomainError."""
     _require_supported(scheme)
+    if point.beta > _MAX_LOAD:
+        raise DomainError(f"beta = {point.beta!r} exceeds the largest supported load, 1e4")
     fn = _FORMULAS[(scheme.spreading, scheme.fading, scheme.detector)]
     return fn(point, tol)
 
@@ -705,7 +711,9 @@ def gamma_from_eta(scheme: SchemeSpec, beta: float, eta: float,
             if t_lo < -_T_LIMIT:
                 raise NonConvergenceError(f"eta = {eta} not bracketed above gamma = 1e-304")
             f = offset(t_lo)
-    root_tol = Tolerance(rel=1e-11, abs=max(1e-12, eta * 1e-10), max_evals=tol.max_evals)
+    # the residual floor scales with eta - ln 2: just above the minimum a
+    # floor fixed in eta would pass any gamma in a band of about 10%
+    root_tol = Tolerance(rel=1e-11, abs=1e-10 * (eta - LN2), max_evals=tol.max_evals)
     t = find_root_bracketed(offset, t_lo, t_hi, root_tol)
     # Brent stops once |offset| <= abs or the bracket is narrower than
     # rel |t|; as d ln(eta)/d ln(gamma) lies in [0, 1], the latter

@@ -87,6 +87,9 @@ class TestSweepSpec:
         dict(x_min=0.0, spacing="log"),
         dict(n_points=1),
         dict(schemes=()),
+        dict(x_min=1e-300, x_max=1e300, spacing="log"),
+        dict(x_min=-1e308, x_max=1e308),
+        dict(n_points=10_001),
     ])
     def test_rejections(self, kwargs):
         base = dict(x_axis="load", x_min=0.5, x_max=4.0, n_points=5,
@@ -124,6 +127,16 @@ class TestRateCommand:
         assert code == 0
         assert out == ("scheme lds-sumf-fading beta 1.000000000 gamma 20.0133727 "
                        "eta_db 10.000000000 rate 2.00133727\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--beta", "1", "--eta-db", "1e300"), "energy per bit of 1e+300 dB is out of range"),
+        (("--beta", "1e12", "--gamma", "10"), "largest supported load"),
+        (("--beta", "1e300", "--eta-db", "10"), "largest supported load"),
+    ])
+    def test_out_of_range_input_is_a_domain_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "rate", "--scheme", "lds-opt-fading", *argv)
+        assert code == 2 and out == ""
+        assert message in err
 
     def test_requires_exactly_one_operating_flag(self, capsys):
         code, _, err = run_cli(capsys, "rate", "--scheme", "lds-sumf-fading",
@@ -320,6 +333,34 @@ class TestCurveCommand:
         assert code == 0 and out == ""
         assert target.read_text(encoding="utf-8") == stdout_payload
 
+    @pytest.mark.parametrize("argv, rows", [
+        (("--eta-db", "1e300", "--range", "1", "2", "--points", "2"),
+         ["1.000000000,ds-mmse-nofading,1.000000000,,1e+300,",
+          "2.000000000,ds-mmse-nofading,2.000000000,,1e+300,"]),
+        (("--beta", "1", "--range", "0", "1e308", "--points", "3"),
+         ["0.000000000,ds-mmse-nofading,1.000000000,0.350151406,0.000000000,0.350151406",
+          "5e+307,ds-mmse-nofading,1.000000000,,5e+307,",
+          "1e+308,ds-mmse-nofading,1.000000000,,1e+308,"]),
+    ])
+    def test_out_of_range_energy_per_bit_leaves_cells_empty(self, capsys, argv, rows):
+        code, out, err = run_cli(capsys, "curve", "--scheme", "ds-mmse", *argv)
+        assert code == 0
+        assert out.splitlines() == [CSV_HEADER] + rows
+        assert err.count("dB is out of range") == sum(row.endswith(",") for row in rows)
+
+    def test_grid_size_is_bounded(self, capsys):
+        # rejected before any grid is built
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "curve", "--scheme", "ds-mmse", "--beta", "1",
+                                     "--range", "0", "1", "--points", "100000000000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert "n_points must be between 2 and 10000" in err
+        assert peak < 1 << 20
+
     def test_unwritable_out_path(self, capsys):
         code, _, err = run_cli(capsys, "curve", "--scheme", "lds-opt-fading",
                                "--eta-db", "10", "--range", "0.5", "1.5",
@@ -452,6 +493,18 @@ class TestMcCommand:
         assert code == 2 and out == ""
         assert message in err
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("argv", [
+        ("sumf", "--gamma", "1", "--samples", "10"),
+        ("independence", "--samples", "10"),
+        ("esd",),
+        ("copt", "--gamma", "1"),
+    ])
+    def test_dimension_count_beyond_a_float_is_a_domain_error(self, capsys, argv):
+        n = str(10 ** 400)
+        code, out, err = run_cli(capsys, "mc", argv[0], "--n", n, "--beta", "1", *argv[1:])
+        assert code == 2 and out == ""
+        assert "not a finite user count" in err
 
     def test_independence_record(self, capsys):
         code, out, _ = run_cli(capsys, "mc", "independence", "--n", "1000",

@@ -12,7 +12,6 @@ from noma_limits.errors import BadBracketError, DomainError, NonConvergenceError
 from noma_limits.numerics import (
     DEFAULT_TOLERANCE,
     Tolerance,
-    exp_integral_e1,
     exp_integral_en,
     exp_integral_en_scaled,
     find_root_bracketed,
@@ -53,28 +52,33 @@ class TestTolerance:
 # ----------------------------------------------------------------------
 
 class TestExpIntegralE1:
+    """E_1 is ``exp_integral_en(1, .)``."""
+
     def test_value_at_one_matches_golden(self, golden):
-        assert exp_integral_e1(1.0) == pytest.approx(
+        assert exp_integral_en(1, 1.0) == pytest.approx(
             golden["e1_at_1"]["value"], abs=1e-10)
 
     def test_large_argument_asymptotic(self):
         # x e^x E_1(x) -> 1, so E_1(100) is close to e^-100/100
-        assert exp_integral_e1(100.0) == pytest.approx(
+        assert exp_integral_en(1, 100.0) == pytest.approx(
             math.exp(-100.0) / 100.0, rel=0.015)
 
     def test_strictly_decreasing(self):
-        assert exp_integral_e1(0.5) > exp_integral_e1(1.0) > exp_integral_e1(2.0)
+        assert exp_integral_en(1, 0.5) > exp_integral_en(1, 1.0) > exp_integral_en(1, 2.0)
 
     @pytest.mark.parametrize("x", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_bad_argument(self, x):
         with pytest.raises(DomainError):
-            exp_integral_e1(x)
+            exp_integral_en(1, x)
 
 
 class TestExpIntegralEn:
     def test_order_one_matches_e1(self):
-        for x in (0.05, 0.7, 1.0, 3.0, 50.0):
-            assert exp_integral_en(1, x) == exp_integral_e1(x)
+        # the order-1 series up to x = 1, e^-x times the scaled kernel above
+        for x in (0.05, 0.7, 1.0):
+            assert exp_integral_en(1, x) == numerics._e1_series(x)
+        for x in (1.5, 3.0, 50.0):
+            assert exp_integral_en(1, x) == math.exp(-x) * exp_integral_en_scaled(1, x)
 
     def test_order_two_at_one_matches_golden(self, golden):
         assert exp_integral_en(2, 1.0) == pytest.approx(
@@ -112,9 +116,9 @@ def _load_anchor_tool():
 
 
 class TestOrderOneKernel:
-    """The order-1 kernel shared by exp_integral_e1, exp_integral_en(1, .)
-    and exp_integral_en_scaled(1, .): series, anchored Taylor expansion
-    and continued fraction."""
+    """The order-1 kernel shared by exp_integral_en(1, .) and
+    exp_integral_en_scaled(1, .): series, anchored Taylor expansion and
+    continued fraction."""
 
     @staticmethod
     def _arguments() -> list[float]:
@@ -138,14 +142,34 @@ class TestOrderOneKernel:
                 scaled = exp_integral_en_scaled(1, x)
                 worst_scaled = max(worst_scaled, float(abs(scaled / ref_scaled - 1)))
                 if x <= 690.0:  # beyond, e^-x leaves the normal range
-                    plain = exp_integral_e1(x)
-                    assert exp_integral_en(1, x) == plain
+                    plain = exp_integral_en(1, x)
                     worst_plain = max(worst_plain, float(abs(plain / ref - 1)))
         assert worst_scaled <= 4e-15
         assert worst_plain <= 4e-15
 
     def test_anchor_table_is_rebuilt_bit_for_bit(self):
         assert _load_anchor_tool().anchors() == numerics._E1_ANCHORS
+
+
+class TestHigherOrdersUpToOne:
+    """Orders n >= 2 at x <= 1 by upward recurrence from order 1."""
+
+    def test_matches_mpmath_to_4e_15(self):
+        import mpmath
+
+        rng = random.Random(2025)
+        cases = [(round(math.exp(rng.uniform(math.log(2.0), math.log(2e4)))),
+                  math.exp(rng.uniform(math.log(1e-300), 0.0))) for _ in range(100)]
+        cases += [(n, 1.0) for n in (2, 3, 40, 3000, 20000)]
+        worst_plain = worst_scaled = 0.0
+        with mpmath.workdps(40):
+            for n, x in cases:
+                ref = mpmath.expint(n, x)
+                worst_scaled = max(worst_scaled, float(abs(
+                    exp_integral_en_scaled(n, x) / (mpmath.exp(x) * ref) - 1)))
+                worst_plain = max(worst_plain, float(abs(exp_integral_en(n, x) / ref - 1)))
+        assert worst_scaled <= 4e-15
+        assert worst_plain <= 4e-15
 
 
 class TestExpIntegralEnScaled:
@@ -296,9 +320,12 @@ class TestPoissonWeightedSum:
         assert seen[0] == 1
 
     def test_hard_cap_raises(self):
-        with pytest.raises(NonConvergenceError):
-            poisson_weighted_sum(50.0, lambda k: 1.0, 1.0,
-                                 Tolerance(rel=1e-10, abs=1e-30), hard_cap=10)
+        # at this load the window around the mode holds about 1e7 terms,
+        # past the cap of 10,000
+        seen = []
+        with pytest.raises(NonConvergenceError, match="after 10000 terms"):
+            poisson_weighted_sum(1e12, lambda k: seen.append(k) or 1.0, 1.0)
+        assert len(seen) == 10_000
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
@@ -320,15 +347,16 @@ class TestFindRootBracketed:
         root = find_root_bracketed(lambda x: math.exp(-x) - x, 0.0, 1.0)
         assert root == pytest.approx(golden["exp_decay_crossing"]["value"], abs=1e-9)
 
-    def test_even_order_touch_at_midpoint(self):
-        # x^2 on [-1, 1]: endpoints agree in sign but the center probe
-        # lands on the root
-        root = find_root_bracketed(lambda x: x * x, -1.0, 1.0)
-        assert abs(root) <= 1e-6
-
     def test_same_sign_without_interior_root_raises(self):
         with pytest.raises(BadBracketError):
             find_root_bracketed(lambda x: x * x - 5.0, 3.0, 4.0)
+
+    def test_same_sign_ends_raise_after_two_evaluations(self):
+        # x^2 on [-1, 1] touches zero inside, but only the ends are read
+        g, calls = self._counted(lambda x: x * x)
+        with pytest.raises(BadBracketError):
+            find_root_bracketed(g, -1.0, 1.0)
+        assert calls == [-1.0, 1.0]
 
     def test_endpoint_root_returned_directly(self):
         assert find_root_bracketed(lambda x: x, 0.0, 1.0) == 0.0

@@ -268,6 +268,40 @@ class TestLoadTenThousand:
 
 
 # ----------------------------------------------------------------------
+# The stated domain: loads 1e-6..1e4, SNRs 1e-12..1e300
+# ----------------------------------------------------------------------
+
+class TestStatedDomain:
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
+    @pytest.mark.parametrize("beta", [1e8, 1e12, 1e20, 1e300])
+    def test_loads_above_ten_thousand_raise(self, scheme, beta):
+        # beyond 1e4 the series weights overflow and the dense fixed point
+        # rounds to zero, so a value there would be wrong or a traceback
+        for gamma in (1e-12, 10.0, 1e300):
+            with pytest.raises(NomaLimitsError, match="largest supported load"):
+                spectral_efficiency(scheme, ChannelPoint(beta, gamma))
+        with pytest.raises(NomaLimitsError, match="largest supported load"):
+            gamma_from_eta(scheme, beta, 10.0)
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
+    def test_load_ten_thousand_is_accepted(self, scheme):
+        rate = spectral_efficiency(scheme, ChannelPoint(1e4, 10.0)).bits_per_dim
+        assert math.isfinite(rate) and rate > 0.0
+
+    @settings(max_examples=800, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(SUPPORTED_SCHEMES), log_beta=st.floats(-6.0, 4.0),
+           log_gamma=st.floats(-12.0, 300.0))
+    def test_rate_is_finite_and_nondecreasing_in_snr(self, name, log_beta, log_gamma):
+        scheme = SchemeSpec.parse(name)
+        beta, gamma = 10.0 ** log_beta, 10.0 ** log_gamma
+        rate = spectral_efficiency(scheme, ChannelPoint(beta, gamma)).bits_per_dim
+        higher = spectral_efficiency(scheme, ChannelPoint(beta, 1.5 * gamma)).bits_per_dim
+        assert math.isfinite(rate) and rate >= 0.0
+        assert math.isfinite(higher)
+        assert higher >= rate - DEFAULT_TOLERANCE.target(rate)
+
+
+# ----------------------------------------------------------------------
 # Structural properties
 # ----------------------------------------------------------------------
 
@@ -586,6 +620,23 @@ class TestEtaConversions:
         gamma = gamma_from_eta(SchemeSpec.parse("lds-sumf-fading"), 1.0,
                                LN2 * (1.0 + 1e-9))
         assert 0.0 < gamma < 1e-6
+
+    # every scheme at loads 1e-6 and 1, and the dense ones at 1e4, where
+    # the fixed point's rounding at large loads sets the spread
+    FLOOR_CASES = ([(name, beta) for name in SUPPORTED_SCHEMES for beta in (1e-6, 1.0)]
+                   + [(name, 1e4) for name in SUPPORTED_SCHEMES if name.startswith("ds-")])
+
+    @pytest.mark.parametrize("name, beta", FLOOR_CASES)
+    @pytest.mark.parametrize("excess", [1e-9, 1e-3])
+    def test_warm_and_cold_roots_agree_near_the_floor(self, name, beta, excess):
+        # the root tolerance scales with eta - ln 2, so any start lands on
+        # the same gamma even where eta - ln 2 is 1e-9 of ln 2
+        scheme, eta = SchemeSpec.parse(name), LN2 * (1.0 + excess)
+        cold = gamma_from_eta(scheme, beta, eta)
+        roots = [cold] + [gamma_from_eta(scheme, beta, eta, guess=cold * factor)
+                          for factor in (1.3, 0.02, 1e6)]
+        bound = 1e-8 if excess > 1e-9 else (1e-3 if beta > 1.0 else 1e-5)
+        assert (max(roots) - min(roots)) / cold <= bound
 
     def test_below_floor_raises(self):
         scheme = SchemeSpec.parse("lds-sumf-fading")
