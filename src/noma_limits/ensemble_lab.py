@@ -46,6 +46,11 @@ _MAX_USERS = 1 << 31  # the count law spans about 37 sqrt(K) counts at N = 2
 # largest system draw_system builds: 24 bytes per user (position, power,
 # and the shifted positions gram_diagonal bins), about 400 MB at the limit
 _MAX_DRAW = 1 << 24
+# largest sample and trial counts of the estimators: a count beyond any
+# machine's reach fails at once instead of looping over blocks; both stay
+# far below the 2^48 block indices a key holds
+_MAX_SAMPLES = 10**12
+_MAX_TRIALS = 10**6
 
 # stream tags keep independent estimators on disjoint key spaces
 _STREAM_SYSTEM = 1
@@ -337,7 +342,7 @@ def mc_sumf_rate(n_dims: int, beta: float, gamma: float, n_samples: int,
     reproducible and insensitive to scheduling.
     """
     n_dims = _check_size("n_dims", n_dims)
-    n_samples = _check_size("n_samples", n_samples)
+    n_samples = _check_size("n_samples", n_samples, _MAX_SAMPLES)
     ChannelPoint(beta, gamma)  # domain checks on (beta, gamma)
     n_users = _user_count(n_dims, beta)
     if gamma == 0.0:
@@ -399,7 +404,7 @@ def mc_ds_fading_logdet(n_dims: int, beta: float, gamma: float, n_trials: int,
     never retried or jittered.
     """
     n_dims = _check_size("n_dims", n_dims, hi=2048)
-    n_trials = _check_size("n_trials", n_trials)
+    n_trials = _check_size("n_trials", n_trials, _MAX_TRIALS)
     ChannelPoint(beta, gamma)  # domain checks on (beta, gamma)
     n_users = _user_count(n_dims, beta)
     if n_dims * n_users > _MAX_ENTRIES:
@@ -439,7 +444,7 @@ def independence_diagnostic(n_dims: int, beta: float, n_draws: int, seed: int) -
     n_dims = _check_size("n_dims", n_dims)
     if n_dims < 2:
         raise DomainError("need at least two dimensions to correlate")
-    n_draws = _check_size("n_draws", n_draws)
+    n_draws = _check_size("n_draws", n_draws, _MAX_SAMPLES)
     ChannelPoint(beta, 0.0)  # domain check on beta
     n_users = _user_count(n_dims, beta)
     shift = None

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -75,27 +75,25 @@ __all__ = [
 LN2 = math.log(2.0)
 _LN3 = math.log(3.0)
 _EXP_FLOOR = -745.0  # exp() underflows to 0 below this
-# largest load spectral_efficiency accepts: the routes are checked up to
-# here, and beyond it the Poisson weights overflow and the dense fixed
-# point rounds to zero
+# the largest load and SNR a rate route accepts: every route is checked
+# up to both; beyond 1e4 the Poisson weights overflow and the dense fixed
+# point rounds to zero, and near 1e307 the MMSE SINR and the series overflow
 _MAX_LOAD = 1e4
+_MAX_SNR = 1e303
 
 
 @dataclass(frozen=True)
 class ChannelPoint:
-    """Operating point: load beta, per-symbol SNR gamma, optional eta."""
+    """Operating point: load beta and per-symbol SNR gamma."""
 
     beta: float
     gamma: float
-    eta: float | None = None
 
     def __post_init__(self) -> None:
         if not (isinstance(self.beta, (int, float)) and math.isfinite(self.beta) and self.beta > 0):
             raise DomainError(f"beta must be a positive finite real, got {self.beta!r}")
         if not (isinstance(self.gamma, (int, float)) and math.isfinite(self.gamma) and self.gamma >= 0):
             raise DomainError(f"gamma must be a nonnegative finite real, got {self.gamma!r}")
-        if self.eta is not None and not (math.isfinite(self.eta) and self.eta > 0):
-            raise DomainError(f"eta must be positive and finite when given, got {self.eta!r}")
 
 
 class Spreading(Enum):
@@ -174,17 +172,28 @@ class MmseEfficiency:
     residual: float
 
 
-def _first_order_exact(point: ChannelPoint) -> bool:
-    # every rate is beta gamma/ln2 * (1 - (beta/S0) gamma + O(gamma^2)),
-    # with S0 its wideband slope, and beta/S0 <= 1 + 2 beta for every
-    # supported scheme; so below this the first-order term is the rate to
-    # double precision, and 1/gamma, which some routes form, can overflow
-    return (1.0 + 2.0 * point.beta) * point.gamma < 1e-17
+_Formula = Callable[[ChannelPoint, Tolerance], RateValue]
 
 
-def _first_order_rate(point: ChannelPoint, tol: Tolerance) -> RateValue:
-    value = point.beta * point.gamma / LN2  # exactly zero at zero SNR
-    return RateValue(value, tol.rel * value)
+def _rate_route(formula: _Formula) -> _Formula:
+    """A public rate route: loads above 1e4 and SNRs above 1e303 raise
+    DomainError, and tiny SNRs get the first-order rate.  Every rate is
+    beta gamma/ln2 * (1 - (beta/S0) gamma + O(gamma^2)), S0 its wideband
+    slope, and beta/S0 <= 1 + 2 beta for every scheme; below the test
+    that term is the rate to double precision, and 1/gamma, which some
+    formulas form, can overflow."""
+    @functools.wraps(formula)
+    def route(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> RateValue:
+        beta, gamma = point.beta, point.gamma
+        if beta > _MAX_LOAD:
+            raise DomainError(f"beta = {beta!r} exceeds the largest supported load, 1e4")
+        if gamma > _MAX_SNR:
+            raise DomainError(f"gamma = {gamma!r} exceeds the largest supported SNR, 1e303")
+        if (1.0 + 2.0 * beta) * gamma < 1e-17:
+            value = beta * gamma / LN2  # exactly zero at zero SNR
+            return RateValue(value, tol.rel * value)
+        return formula(point, tol)
+    return route
 
 
 def _log_growth_bound(gamma: float) -> float:
@@ -197,6 +206,7 @@ def _log_growth_bound(gamma: float) -> float:
 # Sparse spreading, Rayleigh fading
 # ----------------------------------------------------------------------
 
+@_rate_route
 def sumf_rate_lds_fading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> RateValue:
     """Matched-filter rate under one-dimension-per-user spreading and fading.
 
@@ -209,8 +219,6 @@ def sumf_rate_lds_fading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE
     a mixture over the number m of users colliding with this one.
     """
     beta, gamma = point.beta, point.gamma
-    if _first_order_exact(point):
-        return _first_order_rate(point, tol)
     x = 1.0 / gamma
     orders: Iterator[float] | None = None
 
@@ -228,6 +236,7 @@ def sumf_rate_lds_fading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE
     return RateValue(value, tol.abs + tol.rel * value)
 
 
+@_rate_route
 def sumf_rate_lds_fading_unit_form(point: ChannelPoint,
                                    tol: Tolerance = DEFAULT_TOLERANCE) -> RateValue:
     """Same rate as :func:`sumf_rate_lds_fading` through the change of
@@ -237,8 +246,6 @@ def sumf_rate_lds_fading_unit_form(point: ChannelPoint,
     must agree to within their combined error estimates.
     """
     beta, gamma = point.beta, point.gamma
-    if _first_order_exact(point):
-        return _first_order_rate(point, tol)
 
     def integrand(t: float) -> float:
         u = 1.0 - t
@@ -279,6 +286,7 @@ def _scaled_en_orders(z: float, first: int = 1) -> Iterator[float]:
         e = (1.0 - z * e) / (q - 1) if q - 1 >= z else exp_integral_en_scaled(q, z)
 
 
+@_rate_route
 def opt_se_lds_fading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> RateValue:
     """Optimum-decoding spectral efficiency under sparse spreading and fading.
 
@@ -289,8 +297,6 @@ def opt_se_lds_fading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE) -
     E[ln(1 + gamma X_k)] = sum_{q=1..k} e^z E_q(z) at z = 1/gamma.
     """
     beta, gamma = point.beta, point.gamma
-    if _first_order_exact(point):
-        return _first_order_rate(point, tol)
     sums = itertools.accumulate(_scaled_en_orders(1.0 / gamma))
     cumulative: list[float] = []
 
@@ -303,14 +309,13 @@ def opt_se_lds_fading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE) -
     return RateValue(value, tol.abs + tol.rel * value)
 
 
+@_rate_route
 def opt_se_lds_fading_erlang(point: ChannelPoint,
                              tol: Tolerance = DEFAULT_TOLERANCE) -> RateValue:
     """The same optimum-decoding rate with each Erlang expectation
     integrated against its density, so the cumulative-sum identity of
     :func:`opt_se_lds_fading` is checked rather than trusted."""
     beta, gamma = point.beta, point.gamma
-    if _first_order_exact(point):
-        return _first_order_rate(point, tol)
     inner_tol = Tolerance(rel=tol.rel, abs=min(tol.abs, 1e-13), max_evals=tol.max_evals)
 
     def term(k: int) -> float:
@@ -330,6 +335,7 @@ def opt_se_lds_fading_erlang(point: ChannelPoint,
     return RateValue(value, tol.abs + tol.rel * value)
 
 
+@_rate_route
 def opt_se_lds_fading_alt(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> RateValue:
     """The same optimum-decoding rate through its SNR-derivative form.
 
@@ -339,8 +345,6 @@ def opt_se_lds_fading_alt(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANC
     mixture-of-logs route, which is the point: the two must agree.
     """
     beta, gamma = point.beta, point.gamma
-    if _first_order_exact(point):
-        return _first_order_rate(point, tol)
     inner_tol = Tolerance(rel=tol.rel, abs=min(tol.abs, 1e-13), max_evals=tol.max_evals)
 
     def term(k: int) -> float:
@@ -359,17 +363,17 @@ def opt_se_lds_fading_alt(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANC
 # Sparse spreading, no fading
 # ----------------------------------------------------------------------
 
+@_rate_route
 def opt_se_lds_nofading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> RateValue:
     """Optimum-decoding rate for sparse spreading with unit gains:
     Poisson(beta) mixture of log2(1 + k * gamma) over occupancy k >= 1."""
     beta, gamma = point.beta, point.gamma
-    if _first_order_exact(point):
-        return _first_order_rate(point, tol)
     value = poisson_weighted_sum(
         beta, lambda k: math.log1p(k * gamma) / LN2, _log_growth_bound(gamma), tol)
     return RateValue(value, tol.abs + tol.rel * value)
 
 
+@_rate_route
 def sumf_rate_lds_nofading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> RateValue:
     """Linear-detection rate for sparse spreading with unit gains.
 
@@ -378,8 +382,6 @@ def sumf_rate_lds_nofading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERAN
     dimension is a scalar channel.
     """
     beta, gamma = point.beta, point.gamma
-    if _first_order_exact(point):
-        return _first_order_rate(point, tol)
     solo = math.exp(-beta) * math.log1p(gamma) / LN2
     rest = poisson_weighted_sum(
         beta, lambda k: math.log1p(gamma / (k * gamma + 1.0)) / LN2,
@@ -416,12 +418,11 @@ def _mmse_sinr(gamma: float, b: float) -> float:
     return 2.0 * gamma / (b + r) if b >= 0.0 else 0.5 * (r - b)
 
 
+@_rate_route
 def opt_se_ds_nofading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> RateValue:
     """Optimum-decoding spectral efficiency of dense random spreading
     with unit gains (the classic square-root-law closed form)."""
     beta, gamma = point.beta, point.gamma
-    if _first_order_exact(point):
-        return _first_order_rate(point, tol)
     # beta gamma - F/4 is the same root with (gamma, beta) -> (beta gamma, 1/beta)
     value = (beta * math.log1p(_mmse_sinr(gamma, 1.0 + (beta - 1.0) * gamma))
              + math.log1p(_mmse_sinr(beta * gamma, 1.0 + (1.0 - beta) * gamma))
@@ -429,12 +430,11 @@ def opt_se_ds_nofading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE) 
     return RateValue(max(0.0, value), 8.0 * 2.220446049250313e-16 * abs(value))
 
 
+@_rate_route
 def mmse_se_ds_nofading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> RateValue:
     """Linear-MMSE spectral efficiency of dense random spreading with
     unit gains: beta * log2(1 + gamma - F/4)."""
     beta, gamma = point.beta, point.gamma
-    if _first_order_exact(point):
-        return _first_order_rate(point, tol)
     value = beta * math.log1p(_mmse_sinr(gamma, 1.0 + (beta - 1.0) * gamma)) / LN2
     return RateValue(max(0.0, value), 8.0 * 2.220446049250313e-16 * abs(value))
 
@@ -514,29 +514,28 @@ def mmse_efficiency_ds_fading(point: ChannelPoint,
     return MmseEfficiency(x, abs(residual_fn(x)))
 
 
+def _ds_fading_parts(point: ChannelPoint, tol: Tolerance) -> tuple[float, float]:
+    """The multiuser efficiency x and the MMSE rate
+    beta/ln2 * e^z E_1(z) at z = 1/(gamma x)."""
+    x = mmse_efficiency_ds_fading(point, tol).value
+    return x, point.beta / LN2 * exp_integral_en_scaled(1, 1.0 / (point.gamma * x))
+
+
+@_rate_route
 def mmse_se_ds_fading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> RateValue:
     """Linear-MMSE spectral efficiency of dense spreading under fading:
     beta/ln2 * e^z E_1(z) at z = 1/(gamma x), x the multiuser efficiency."""
-    beta, gamma = point.beta, point.gamma
-    if _first_order_exact(point):
-        return _first_order_rate(point, tol)
-    eff = mmse_efficiency_ds_fading(point, tol)
-    z = 1.0 / (gamma * eff.value)
-    value = beta / LN2 * exp_integral_en_scaled(1, z)
+    _, value = _ds_fading_parts(point, tol)
     return RateValue(value, tol.abs + tol.rel * value)
 
 
+@_rate_route
 def opt_se_ds_fading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> RateValue:
     """Optimum-decoding spectral efficiency of dense spreading under
     fading: the MMSE rate plus the divergence term (x - 1 - ln x)/ln 2
     at the same multiuser efficiency x."""
-    beta, gamma = point.beta, point.gamma
-    if _first_order_exact(point):
-        return _first_order_rate(point, tol)
-    eff = mmse_efficiency_ds_fading(point, tol)
-    z = 1.0 / (gamma * eff.value)
-    mmse_part = beta / LN2 * exp_integral_en_scaled(1, z)
-    value = mmse_part + (eff.value - 1.0 - math.log(eff.value)) / LN2
+    x, mmse_part = _ds_fading_parts(point, tol)
+    value = mmse_part + (x - 1.0 - math.log(x)) / LN2
     return RateValue(value, tol.abs + tol.rel * value)
 
 
@@ -545,38 +544,36 @@ def opt_se_ds_fading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE) ->
 # ----------------------------------------------------------------------
 
 _FORMULAS = {
-    (Spreading.ONE_SPARSE, Fading.NONE, Detector.SUMF): sumf_rate_lds_nofading,
-    (Spreading.ONE_SPARSE, Fading.NONE, Detector.MMSE): sumf_rate_lds_nofading,
-    (Spreading.ONE_SPARSE, Fading.NONE, Detector.ZF): sumf_rate_lds_nofading,
-    (Spreading.ONE_SPARSE, Fading.NONE, Detector.OPTIMUM): opt_se_lds_nofading,
-    (Spreading.ONE_SPARSE, Fading.RAYLEIGH, Detector.SUMF): sumf_rate_lds_fading,
-    (Spreading.ONE_SPARSE, Fading.RAYLEIGH, Detector.OPTIMUM): opt_se_lds_fading,
-    (Spreading.DENSE, Fading.NONE, Detector.MMSE): mmse_se_ds_nofading,
-    (Spreading.DENSE, Fading.NONE, Detector.OPTIMUM): opt_se_ds_nofading,
-    (Spreading.DENSE, Fading.RAYLEIGH, Detector.MMSE): mmse_se_ds_fading,
-    (Spreading.DENSE, Fading.RAYLEIGH, Detector.OPTIMUM): opt_se_ds_fading,
+    "lds-sumf-nofading": sumf_rate_lds_nofading,
+    "lds-mmse-nofading": sumf_rate_lds_nofading,
+    "lds-zf-nofading": sumf_rate_lds_nofading,
+    "lds-opt-nofading": opt_se_lds_nofading,
+    "lds-sumf-fading": sumf_rate_lds_fading,
+    "lds-opt-fading": opt_se_lds_fading,
+    "ds-mmse-nofading": mmse_se_ds_nofading,
+    "ds-opt-nofading": opt_se_ds_nofading,
+    "ds-mmse-fading": mmse_se_ds_fading,
+    "ds-opt-fading": opt_se_ds_fading,
 }
 
-SUPPORTED_SCHEMES = tuple(
-    sorted(SchemeSpec(s, f, d).name for (s, f, d) in _FORMULAS))
+SUPPORTED_SCHEMES = tuple(sorted(_FORMULAS))
 
 
-def _require_supported(scheme: SchemeSpec) -> None:
-    key = (scheme.spreading, scheme.fading, scheme.detector)
-    if key not in _FORMULAS:
+def _formula(scheme: SchemeSpec) -> _Formula:
+    try:
+        return _FORMULAS[scheme.name]
+    except KeyError:
         raise UnsupportedSchemeError(
-            f"no closed form for {scheme.name}; supported: {', '.join(SUPPORTED_SCHEMES)}")
+            f"no closed form for {scheme.name}; supported: {', '.join(SUPPORTED_SCHEMES)}"
+        ) from None
 
 
 def spectral_efficiency(scheme: SchemeSpec, point: ChannelPoint,
                         tol: Tolerance = DEFAULT_TOLERANCE) -> RateValue:
     """Rate of the given scheme at the given operating point, in bits
-    per dimension.  Loads above 1e4 raise DomainError."""
-    _require_supported(scheme)
-    if point.beta > _MAX_LOAD:
-        raise DomainError(f"beta = {point.beta!r} exceeds the largest supported load, 1e4")
-    fn = _FORMULAS[(scheme.spreading, scheme.fading, scheme.detector)]
-    return fn(point, tol)
+    per dimension.  Loads above 1e4 and SNRs above 1e303 raise
+    DomainError."""
+    return _formula(scheme)(point, tol)
 
 
 # ----------------------------------------------------------------------
@@ -586,19 +583,17 @@ def spectral_efficiency(scheme: SchemeSpec, point: ChannelPoint,
 def eta_min(scheme: SchemeSpec) -> float:
     """Minimum energy per bit over noise level: ln 2 for every supported
     scheme (fading included, since received powers have unit mean)."""
-    _require_supported(scheme)
+    _formula(scheme)
     return LN2
 
 
 def low_snr_slope(scheme: SchemeSpec, beta: float) -> float:
     """Wideband slope in bit/s/Hz per 3 dB at eta_min, where known."""
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
-        raise DomainError(f"beta must be a positive finite real, got {beta!r}")
-    _require_supported(scheme)
-    key = (scheme.spreading, scheme.fading, scheme.detector)
-    if key == (Spreading.ONE_SPARSE, Fading.RAYLEIGH, Detector.SUMF):
+    ChannelPoint(beta, 0.0)  # domain check on beta
+    _formula(scheme)
+    if scheme.name == "lds-sumf-fading":
         return beta / (1.0 + beta)
-    if key == (Spreading.ONE_SPARSE, Fading.RAYLEIGH, Detector.OPTIMUM):
+    if scheme.name == "lds-opt-fading":
         return 2.0 * beta / (beta + 2.0)
     raise UnsupportedSchemeError(f"no wideband slope closed form for {scheme.name}")
 
@@ -612,9 +607,8 @@ def high_snr_slope(scheme: SchemeSpec, beta: float) -> float:
     dimension keeps growing).  Dense MMSE follows the piecewise rule
     beta, 1/2, 0 for loads below, at, and above one.
     """
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
-        raise DomainError(f"beta must be a positive finite real, got {beta!r}")
-    _require_supported(scheme)
+    ChannelPoint(beta, 0.0)  # domain check on beta
+    _formula(scheme)
     if scheme.spreading is Spreading.ONE_SPARSE:
         if scheme.detector is Detector.OPTIMUM:
             return 1.0 - math.exp(-beta)
@@ -632,7 +626,9 @@ def high_snr_slope(scheme: SchemeSpec, beta: float) -> float:
 # Energy-per-bit conversions
 # ----------------------------------------------------------------------
 
-_T_LIMIT = 700.0  # |ln gamma| searched by gamma_from_eta
+# ln gamma searched by gamma_from_eta, up to the largest SNR a route accepts
+_T_MIN = -700.0
+_T_MAX = math.log(_MAX_SNR)
 
 
 def eta_from_gamma(scheme: SchemeSpec, beta: float, gamma: float,
@@ -666,7 +662,7 @@ def gamma_from_eta(scheme: SchemeSpec, beta: float, eta: float,
     if guess is not None and not (isinstance(guess, (int, float))
                                   and math.isfinite(guess) and guess > 0):
         raise DomainError(f"guess must be a positive finite real, got {guess!r}")
-    _require_supported(scheme)
+    _formula(scheme)
     if eta <= LN2:
         raise NoSolutionError(
             f"eta = {eta} does not exceed the universal minimum ln 2 = {LN2}")
@@ -689,18 +685,20 @@ def gamma_from_eta(scheme: SchemeSpec, beta: float, eta: float,
         t_lo = t_hi = 0.0
     else:
         step, growth = 0.01, 2.0
-        t_lo = t_hi = min(max(math.log(guess), -_T_LIMIT), _T_LIMIT)
+        t_lo = t_hi = min(max(math.log(guess), _T_MIN), _T_MAX)
     f = offset(t_lo)
     if f == 0.0:
         return math.exp(t_lo)
     if f < 0.0:
         while f < 0.0:
+            if t_hi >= _T_MAX:
+                raise NonConvergenceError(f"eta = {eta} not reached below gamma = 1e303")
             if guess is not None:
                 t_lo = t_hi
-            t_hi += step
+            # the last step stops at the bound rather than stepping past
+            # a root below it into the refused SNRs
+            t_hi = min(t_hi + step, _T_MAX)
             step = min(step * growth, decade)
-            if t_hi > _T_LIMIT:
-                raise NonConvergenceError(f"eta = {eta} not reached below gamma = 1e304")
             f = offset(t_hi)
     else:
         while f > 0.0:
@@ -708,7 +706,7 @@ def gamma_from_eta(scheme: SchemeSpec, beta: float, eta: float,
                 t_hi = t_lo
             t_lo -= step
             step = min(step * growth, decade)
-            if t_lo < -_T_LIMIT:
+            if t_lo < _T_MIN:
                 raise NonConvergenceError(f"eta = {eta} not bracketed above gamma = 1e-304")
             f = offset(t_lo)
     # the residual floor scales with eta - ln 2: just above the minimum a

@@ -138,10 +138,6 @@ def _derived_seed(master: int, tag: int) -> int:
     return master * 1_000_003 + tag
 
 
-def _scheme(name: str) -> SchemeSpec:
-    return SchemeSpec.parse(name)
-
-
 # ----------------------------------------------------------------------
 # 1. energy-per-bit floor
 # ----------------------------------------------------------------------
@@ -153,7 +149,7 @@ def _check_eta_floor(seed: int) -> list[CheckResult]:
     out = []
     for name in ("lds-sumf-fading", "lds-opt-fading", "lds-opt-nofading",
                  "ds-opt-fading"):
-        scheme = _scheme(name)
+        scheme = SchemeSpec.parse(name)
         for beta in (0.5, 1.0, 2.0):
             rate = spectral_efficiency(scheme, ChannelPoint(beta, gamma)).bits_per_dim
             eta = beta * gamma / rate
@@ -218,17 +214,17 @@ def _check_high_snr_slopes(seed: int) -> list[CheckResult]:
             expected = beta * math.exp(-beta)
             out.append(CheckResult.compare(
                 f"high-snr.{name}.beta{beta:g}", expected,
-                _measured_high_snr_slope(_scheme(name), beta), 0.02 * expected))
+                _measured_high_snr_slope(SchemeSpec.parse(name), beta), 0.02 * expected))
         for name in ("lds-opt-nofading", "lds-opt-fading"):
             expected = 1.0 - math.exp(-beta)
             out.append(CheckResult.compare(
                 f"high-snr.{name}.beta{beta:g}", expected,
-                _measured_high_snr_slope(_scheme(name), beta), 0.02 * expected))
+                _measured_high_snr_slope(SchemeSpec.parse(name), beta), 0.02 * expected))
         expected = beta if beta < 1.0 else (0.5 if beta == 1.0 else 0.0)
         tol = 0.02 * expected if expected > 0.0 else 0.02
         out.append(CheckResult.compare(
             f"high-snr.ds-mmse-nofading.beta{beta:g}", expected,
-            _measured_high_snr_slope(_scheme("ds-mmse"), beta), tol))
+            _measured_high_snr_slope(SchemeSpec.parse("ds-mmse"), beta), tol))
     return out
 
 
@@ -410,7 +406,7 @@ def _check_curve_orderings(seed: int) -> list[CheckResult]:
     grid = [10.0 ** (-1.0 + 2.0 * i / 20.0) for i in range(21)]
 
     def rate_at_eta(name: str, beta: float) -> float:
-        scheme = _scheme(name)
+        scheme = SchemeSpec.parse(name)
         gamma = gamma_from_eta(scheme, beta, eta, tol)
         return spectral_efficiency(scheme, ChannelPoint(beta, gamma), tol).bits_per_dim
 

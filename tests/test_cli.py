@@ -138,6 +138,18 @@ class TestRateCommand:
         assert code == 2 and out == ""
         assert message in err
 
+    @pytest.mark.parametrize("scheme, beta, gamma", [
+        # a huge SNR once printed rate 0, eta_db inf, or a finiteness error
+        ("ds-mmse-nofading", "10000", "1e304"),
+        ("lds-sumf-fading", "2", "1.7e308"),
+        ("lds-opt-nofading", "2", "1e307"),
+    ])
+    def test_snr_above_the_domain_is_a_domain_error(self, capsys, scheme, beta, gamma):
+        code, out, err = run_cli(capsys, "rate", "--scheme", scheme, "--beta", beta,
+                                 "--gamma", gamma)
+        assert code == 2 and out == ""
+        assert "largest supported SNR" in err
+
     def test_requires_exactly_one_operating_flag(self, capsys):
         code, _, err = run_cli(capsys, "rate", "--scheme", "lds-sumf-fading",
                                "--beta", "1", "--gamma", "1", "--eta-db", "3")
@@ -505,6 +517,22 @@ class TestMcCommand:
         code, out, err = run_cli(capsys, "mc", argv[0], "--n", n, "--beta", "1", *argv[1:])
         assert code == 2 and out == ""
         assert "not a finite user count" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("sumf", "--n", "100", "--gamma", "1", "--samples", str(10 ** 12 + 1)),
+         "n_samples must be <= 1000000000000"),
+        (("sumf", "--n", "100", "--gamma", "1", "--samples", str(10 ** 400)),
+         "n_samples must be <= 1000000000000"),
+        (("independence", "--n", "100", "--samples", str(10 ** 12 + 1)),
+         "n_draws must be <= 1000000000000"),
+        (("ds-logdet", "--n", "4", "--gamma", "1", "--trials", str(10 ** 6 + 1)),
+         "n_trials must be <= 1000000"),
+    ])
+    def test_sample_count_beyond_reach_is_a_domain_error(self, capsys, argv, message):
+        # refused before the first block is drawn, not looped over
+        code, out, err = run_cli(capsys, "mc", *argv[:3], "--beta", "1", *argv[3:])
+        assert code == 2 and out == ""
+        assert message in err
 
     def test_independence_record(self, capsys):
         code, out, _ = run_cli(capsys, "mc", "independence", "--n", "1000",

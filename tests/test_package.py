@@ -1,5 +1,6 @@
 """The package root and what importing a submodule loads."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -26,3 +27,19 @@ def test_cli_import_leaves_numpy_unloaded():
     # only `mc` and `verify` import numpy, the lab and the suite
     assert not _loads_numpy("noma_limits.cli")
 
+
+def test_benchmark_probes_bind_and_restore(monkeypatch):
+    # the benchmark's probes wrap names bound in rates, cli, verification
+    # and parallel; a renamed one would otherwise fail only in traced runs
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmark"))
+    probes = importlib.import_module("probes")
+    tracing = importlib.import_module("tracing")
+    from noma_limits import cli, rates, verification
+
+    modules = (cli, rates, verification)
+    before = [dict(vars(m)) for m in modules]
+    forward = rates.spectral_efficiency
+    with probes.installed(tracing.Tracer(run_id=0)):
+        assert rates.spectral_efficiency is not forward
+    for m, names in zip(modules, before):
+        assert all(vars(m)[k] is v for k, v in names.items())

@@ -49,6 +49,13 @@ from noma_limits.rates import (
 )
 
 ALL_SCHEMES = [SchemeSpec.parse(name) for name in SUPPORTED_SCHEMES]
+# every public rate route: the production route of each scheme and the
+# three cross-checks
+ALL_ROUTES = [
+    sumf_rate_lds_fading, sumf_rate_lds_fading_unit_form, sumf_rate_lds_nofading,
+    opt_se_lds_nofading, opt_se_lds_fading, opt_se_lds_fading_alt, opt_se_lds_fading_erlang,
+    opt_se_ds_nofading, mmse_se_ds_nofading, mmse_se_ds_fading, opt_se_ds_fading,
+]
 
 
 def single_user_rayleigh_capacity(gamma: float) -> float:
@@ -63,7 +70,7 @@ def single_user_rayleigh_capacity(gamma: float) -> float:
 class TestChannelPoint:
     def test_accepts_valid_points(self):
         ChannelPoint(1.0, 0.0)
-        ChannelPoint(0.5, 10.0, eta=2.0)
+        ChannelPoint(0.5, 10.0)
 
     @pytest.mark.parametrize("kwargs", [
         {"beta": 0.0, "gamma": 1.0},
@@ -72,8 +79,6 @@ class TestChannelPoint:
         {"beta": float("inf"), "gamma": 1.0},
         {"beta": 1.0, "gamma": -0.1},
         {"beta": 1.0, "gamma": float("nan")},
-        {"beta": 1.0, "gamma": 1.0, "eta": 0.0},
-        {"beta": 1.0, "gamma": 1.0, "eta": float("inf")},
     ])
     def test_rejects_bad_points(self, kwargs):
         with pytest.raises(DomainError):
@@ -287,6 +292,22 @@ class TestStatedDomain:
     def test_load_ten_thousand_is_accepted(self, scheme):
         rate = spectral_efficiency(scheme, ChannelPoint(1e4, 10.0)).bits_per_dim
         assert math.isfinite(rate) and rate > 0.0
+
+    @pytest.mark.parametrize("route", ALL_ROUTES, ids=lambda f: f.__name__)
+    def test_every_route_enforces_the_domain_when_called_directly(self, route):
+        for beta, gamma in itertools.product((1.0, 1e4), (1e-310, 5e-324)):
+            rate = route(ChannelPoint(beta, gamma))
+            assert rate.bits_per_dim == beta * gamma / LN2
+        with pytest.raises(DomainError, match="largest supported load"):
+            route(ChannelPoint(1.0001e4, 1.0))
+        with pytest.raises(DomainError, match="largest supported SNR"):
+            route(ChannelPoint(1.0, 1e304))
+        # the derivative route runs minutes of quadrature at the corner,
+        # so it meets each edge of the domain at a cheap point instead
+        corners = ([(1e4, 1e-15), (1e-6, 1e303)] if route is opt_se_lds_fading_alt
+                   else [(1e4, 1e303)])
+        for beta, gamma in corners:
+            assert math.isfinite(route(ChannelPoint(beta, gamma)).bits_per_dim)
 
     @settings(max_examples=800, deadline=None, derandomize=True)
     @given(name=st.sampled_from(SUPPORTED_SCHEMES), log_beta=st.floats(-6.0, 4.0),
@@ -706,6 +727,22 @@ class TestEtaConversions:
         seen.clear()
         gamma_from_eta(scheme, 2.0, 10.0, guess=cold * 1.01)
         assert len(seen) < n_cold
+
+    @pytest.mark.parametrize("guess", [None, 9e301, 9.5e302])
+    def test_root_just_below_the_largest_snr(self, guess):
+        # from 9e301 the doubling steps of a warm walk would jump from
+        # below the root to 1.15e303, past the largest SNR a route accepts
+        scheme = SchemeSpec.parse("lds-opt-nofading")
+        eta = eta_from_gamma(scheme, 1.0, 9e302)
+        # the root tolerance, 1e-11 relative in ln gamma = 697, fixes gamma to 7e-9
+        assert gamma_from_eta(scheme, 1.0, eta, guess=guess) == pytest.approx(9e302, rel=1e-8)
+
+    @pytest.mark.parametrize("guess", [None, 1e300, 1e303])
+    def test_root_above_the_largest_snr_is_not_reached(self, guess):
+        scheme = SchemeSpec.parse("lds-opt-nofading")
+        eta = 1.01 * eta_from_gamma(scheme, 1.0, 1e303)
+        with pytest.raises(NonConvergenceError, match="not reached below gamma = 1e303"):
+            gamma_from_eta(scheme, 1.0, eta, guess=guess)
 
     @pytest.mark.parametrize("guess", [0.0, -1.0, float("nan"), float("inf"), "1"])
     def test_rejects_bad_guess(self, guess):
