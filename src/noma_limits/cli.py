@@ -12,9 +12,11 @@ Exit codes: 0 success; 1 verification failure; 2 usage or domain error;
 3 I/O error.  All numbers are printed with 9 significant digits; JSON
 records use lexicographic key order.  ``curve`` computes each scheme's
 rows in grid order, each inversion starting from the previous rows'
-roots, and ``NOMA_LIMITS_THREADS`` caps the workers over schemes
-(0 = auto).  numpy, the Monte Carlo lab and the verification suite are
-imported only by ``mc`` and ``verify``.
+roots.  ``NOMA_LIMITS_THREADS`` caps the workers over ``curve``'s
+schemes and over the matched-filter Monte Carlo blocks of ``mc sumf``
+and ``verify`` (0 = auto); ``mc`` and ``verify`` read it before any
+work, so a malformed value exits 2.  numpy, the Monte Carlo lab and
+the verification suite are imported only by ``mc`` and ``verify``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 from .combinatorics import EnsembleKind, exact_moments, moment_coefficients
 from .errors import DomainError, NomaLimitsError, NoSolutionError
-from .parallel import thread_map
+from .parallel import thread_count, thread_map
 from .rates import (
     LN2,
     ChannelPoint,
@@ -265,6 +267,8 @@ def _mc_record(args: argparse.Namespace) -> dict:
     from .ensemble_lab import (
         _MAX_DRAW,
         LsdMixture,
+        _logdet_case,
+        _sumf_case,
         _user_count,
         draw_system,
         empirical_lsd_cdf_distance,
@@ -279,17 +283,19 @@ def _mc_record(args: argparse.Namespace) -> dict:
     if kind == "sumf":
         _require(args.gamma is not None, "--gamma is required for sumf")
         _require(args.samples is not None, "--samples is required for sumf")
-        est = mc_sumf_rate(args.n, beta, args.gamma, args.samples, args.seed)
+        # the sizes, then the reference's domain, before any sample is drawn
+        _sumf_case(args.n, beta, args.gamma, args.samples)
         ref = sumf_rate_lds_fading(ChannelPoint(beta, args.gamma)).bits_per_dim
+        est = mc_sumf_rate(args.n, beta, args.gamma, args.samples, args.seed)
         return _record(est.mean, est.std_error, args.samples, args.seed, ref)
     if kind == "copt":
         _require(args.gamma is not None, "--gamma is required for copt")
-        draw = draw_system(args.n, _user_count(args.n, beta, _MAX_DRAW), args.seed)
-        values = gram_diagonal(draw).values
+        n_users = _user_count(args.n, beta, _MAX_DRAW)
+        ref = opt_se_lds_fading(ChannelPoint(beta, args.gamma)).bits_per_dim
+        values = gram_diagonal(draw_system(args.n, n_users, args.seed)).values
         terms = np.log1p(args.gamma * values) / LN2
         est = float(terms.mean())
         se = float(terms.std(ddof=1) / math.sqrt(args.n)) if args.n > 1 else 0.0
-        ref = opt_se_lds_fading(ChannelPoint(beta, args.gamma)).bits_per_dim
         return _record(est, se, args.n, args.seed, ref)
     if kind == "esd":
         draw = draw_system(args.n, _user_count(args.n, beta, _MAX_DRAW), args.seed)
@@ -298,8 +304,9 @@ def _mc_record(args: argparse.Namespace) -> dict:
     if kind == "ds-logdet":
         _require(args.gamma is not None, "--gamma is required for ds-logdet")
         _require(args.trials is not None, "--trials is required for ds-logdet")
-        est = mc_ds_fading_logdet(args.n, beta, args.gamma, args.trials, args.seed)
+        _logdet_case(args.n, beta, args.gamma, args.trials)
         ref = opt_se_ds_fading(ChannelPoint(beta, args.gamma)).bits_per_dim
+        est = mc_ds_fading_logdet(args.n, beta, args.gamma, args.trials, args.seed)
         return _record(est.mean, est.std_error, args.trials, args.seed, ref)
     # independence
     _require(args.samples is not None, "--samples is required for independence")
@@ -323,6 +330,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     import json
 
     try:
+        thread_count()  # a malformed NOMA_LIMITS_THREADS fails before any draw
         record = _mc_record(args)
     except NomaLimitsError as exc:
         print(f"mc: {exc}", file=sys.stderr)
@@ -337,6 +345,11 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .verification import DEFAULT_SEED, run_suite
 
+    try:
+        thread_count()  # criterion 8 runs on the pool: check the cap first
+    except NomaLimitsError as exc:
+        print(f"verify: {exc}", file=sys.stderr)
+        return 2
     report = run_suite(args.suite, DEFAULT_SEED if args.seed is None else args.seed)
     status = _write_text(args.out, report.to_json())
     if status != 0:

@@ -22,6 +22,7 @@ import numpy as np
 from .combinatorics import MomentVector
 from .errors import DomainError, FactorizationError
 from .numerics import reg_lower_gamma
+from .parallel import thread_count, thread_map
 from .rates import LN2, ChannelPoint
 
 __all__ = [
@@ -95,11 +96,11 @@ def _user_count(n_dims: int, beta: float, limit: int = _MAX_USERS) -> int:
     return n_users
 
 
-def _blocks(seed: int, stream: int, n: int):
-    """(generator, size) for each fixed-size block of n draws, the
-    generator keyed by the block's index."""
-    for index, start in enumerate(range(0, n, _BLOCK)):
-        yield _generator(seed, stream, index), min(_BLOCK, n - start)
+def _blocks(seed: int, stream: int, n: int, first: int = 0, step: int = 1):
+    """(generator, size) for the fixed-size blocks first, first + step,
+    ... of n draws, each generator keyed by its block's index."""
+    for index in range(first, -(-n // _BLOCK), step):
+        yield _generator(seed, stream, index), min(_BLOCK, n - index * _BLOCK)
 
 
 @dataclass(frozen=True)
@@ -317,6 +318,39 @@ def _count_law(n: int, p: float) -> tuple[int, np.ndarray]:
                           lambda c: (n - c) * p / ((c + 1) * q), n, 1e-300)
 
 
+def _sumf_case(n_dims: int, beta: float, gamma: float,
+               n_samples: int) -> tuple[int, int, int]:
+    """(n_dims, n_samples, n_users) of a matched-filter run, checked
+    before anything is drawn."""
+    n_dims = _check_size("n_dims", n_dims)
+    n_samples = _check_size("n_samples", n_samples, _MAX_SAMPLES)
+    ChannelPoint(beta, gamma)  # domain checks on (beta, gamma)
+    return n_dims, n_samples, _user_count(n_dims, beta)
+
+
+def _sumf_block(rng: np.random.Generator, own: np.ndarray, interference: np.ndarray,
+                first: int, pmf: np.ndarray, gamma: float) -> tuple[float, float]:
+    """Sum and sum of squares of one block's sample values
+    log2(1 + gamma a / (1 + gamma I)), every step in place in the two
+    buffers, whose length is the block's size."""
+    m = len(own)
+    rng.standard_exponential(out=own)
+    interference.fill(0.0)
+    end = 0
+    for c, size in enumerate(rng.multinomial(m, pmf).tolist(), start=first):
+        start, end = end, end + size
+        if c > 0 and size > 0:
+            rng.standard_gamma(c, out=interference[start:end])
+    np.multiply(interference, gamma, out=interference)
+    np.add(interference, 1.0, out=interference)
+    np.multiply(own, gamma, out=own)
+    np.divide(own, interference, out=own)
+    np.log1p(own, out=own)
+    np.divide(own, LN2, out=own)
+    np.multiply(own, own, out=interference)
+    return float(np.sum(own)), float(np.sum(interference))
+
+
 def mc_sumf_rate(n_dims: int, beta: float, gamma: float, n_samples: int,
                  seed: int) -> McEstimate:
     """Monte Carlo matched-filter rate at finite n_dims.
@@ -337,32 +371,31 @@ def mc_sumf_rate(n_dims: int, beta: float, gamma: float, n_samples: int,
     them by position leaves the law unchanged.  Only count tails below
     1e-300 are cut.
 
-    Draws are generated in fixed-size blocks, each keyed by its index,
-    and reduced in block order, so the result is bit-for-bit
-    reproducible and insensitive to scheduling.
+    Draws are generated in fixed-size blocks, each keyed by its index.
+    The blocks run on W = min(thread_count(), blocks) worker slots of
+    the thread pool; slot w takes blocks w, w + W, ... in two buffers
+    of one block each, so memory stays at 16 MB per slot.  The block
+    sums are reduced with math.fsum, which is exactly rounded, so the
+    result is bit-for-bit reproducible whatever the worker count.
     """
-    n_dims = _check_size("n_dims", n_dims)
-    n_samples = _check_size("n_samples", n_samples, _MAX_SAMPLES)
-    ChannelPoint(beta, gamma)  # domain checks on (beta, gamma)
-    n_users = _user_count(n_dims, beta)
+    n_dims, n_samples, n_users = _sumf_case(n_dims, beta, gamma, n_samples)
     if gamma == 0.0:
         return McEstimate(0.0, 0.0, n_samples, int(seed))
     first, pmf = _count_law(n_users - 1, 1.0 / n_dims)
-    total = []
-    total_sq = []
-    for rng, m in _blocks(seed, _STREAM_SUMF, n_samples):
-        own = rng.standard_exponential(m)
-        interference = np.zeros(m)
-        end = 0
-        for c, size in enumerate(rng.multinomial(m, pmf).tolist(), start=first):
-            start, end = end, end + size
-            if c > 0 and size > 0:
-                rng.standard_gamma(c, out=interference[start:end])
-        t = np.log1p(own * gamma / (1.0 + gamma * interference)) / LN2
-        total.append(float(np.sum(t)))
-        total_sq.append(float(np.sum(t * t)))
-    s1 = math.fsum(total)
-    s2 = math.fsum(total_sq)
+    slots = min(thread_count(), -(-n_samples // _BLOCK))
+    size = min(_BLOCK, n_samples)
+    # the caller allocates every slot's buffers: worker threads that
+    # allocated their own would keep them in per-thread malloc arenas
+    buffers = [(np.empty(size), np.empty(size)) for _ in range(slots)]
+
+    def run_slot(slot: int) -> list[tuple[float, float]]:
+        own, interference = buffers[slot]
+        return [_sumf_block(rng, own[:m], interference[:m], first, pmf, gamma)
+                for rng, m in _blocks(seed, _STREAM_SUMF, n_samples, slot, slots)]
+
+    sums = [block for slot_sums in thread_map(run_slot, range(slots)) for block in slot_sums]
+    s1 = math.fsum(total for total, _ in sums)
+    s2 = math.fsum(total_sq for _, total_sq in sums)
     mean_term = s1 / n_samples
     var_term = max(0.0, s2 / n_samples - mean_term * mean_term)
     return McEstimate(mean=beta * mean_term,
@@ -370,39 +403,32 @@ def mc_sumf_rate(n_dims: int, beta: float, gamma: float, n_samples: int,
                       n_samples=n_samples, seed=int(seed))
 
 
-def _logdet_capacity(spreading: np.ndarray, powers: np.ndarray, gamma: float) -> float:
-    """log2 det(I + gamma B B*) / n_dims for B = spreading * sqrt(powers).
+def _logdet_capacity(received: np.ndarray, gamma: float) -> float:
+    """log2 det(I + gamma B B*) / n_dims for the received signatures
+    B = S diag(|h|), real because only the received powers enter.
 
-    B B* = S diag(|h|^2) S^T is real, so only the received powers enter.
     By Sylvester's determinant identity det(I_N + gamma B B^T) equals
     det(I_K + gamma B^T B), so the Gram is formed on the smaller side;
-    both operands are one buffer, which lets numpy use BLAS syrk.  The
-    log-det comes from one Cholesky factorization of the symmetric
-    positive definite matrix and is still divided by n_dims.
+    both operands are one buffer, which lets numpy use BLAS syrk, and
+    I + gamma G is formed in the Gram's own buffer.  The log-det comes
+    from one Cholesky factorization of the symmetric positive definite
+    matrix and is still divided by n_dims.
     """
-    n_dims, n_users = spreading.shape
-    b = spreading * np.sqrt(powers)
-    g = b.T @ b if n_users < n_dims else b @ b.T
-    m = np.eye(len(g)) + gamma * g
+    n_dims, n_users = received.shape
+    g = received.T @ received if n_users < n_dims else received @ received.T
+    g *= gamma
+    g.reshape(-1)[::len(g) + 1] += 1.0
     try:
-        chol = np.linalg.cholesky(m)
+        chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"Cholesky factorization failed: {exc}") from exc
     return float(2.0 * np.sum(np.log2(np.diagonal(chol))) / n_dims)
 
 
-def mc_ds_fading_logdet(n_dims: int, beta: float, gamma: float, n_trials: int,
-                        seed: int) -> McEstimate:
-    """Monte Carlo optimum-decoding rate of dense spreading under fading
-    at finite size: (1/N) log2 det(I + gamma B B*) averaged over draws.
-
-    Chips are +-1/sqrt(N); a spreading matrix of more than 2^24 entries
-    raises DomainError.  Fading coefficients h are standard complex
-    Gaussian; only the received powers |h|^2, unit-mean exponential,
-    enter the log-det, so they are formed directly from the two normal
-    draws.  A failed factorization raises FactorizationError; it is
-    never retried or jittered.
-    """
+def _logdet_case(n_dims: int, beta: float, gamma: float,
+                 n_trials: int) -> tuple[int, int, int]:
+    """(n_dims, n_trials, n_users) of a dense log-det run, checked
+    before anything is drawn."""
     n_dims = _check_size("n_dims", n_dims, hi=2048)
     n_trials = _check_size("n_trials", n_trials, _MAX_TRIALS)
     ChannelPoint(beta, gamma)  # domain checks on (beta, gamma)
@@ -410,16 +436,41 @@ def mc_ds_fading_logdet(n_dims: int, beta: float, gamma: float, n_trials: int,
     if n_dims * n_users > _MAX_ENTRIES:
         raise DomainError(f"n_dims * n_users = {n_dims * n_users} spreading entries "
                           f"exceed the limit of {_MAX_ENTRIES}")
+    return n_dims, n_trials, n_users
+
+
+def mc_ds_fading_logdet(n_dims: int, beta: float, gamma: float, n_trials: int,
+                        seed: int) -> McEstimate:
+    """Monte Carlo optimum-decoding rate of dense spreading under fading
+    at finite size: (1/N) log2 det(I + gamma B B*) averaged over draws.
+
+    Chips are +-1/sqrt(N), each from one random bit (1 is +1), drawn
+    before the fading; a spreading matrix of more than 2^24 entries
+    raises DomainError.  Fading coefficients h are standard complex
+    Gaussian; only the received powers |h|^2, unit-mean exponential,
+    enter the log-det, so the received signatures +-|h|/sqrt(N) are
+    formed directly from the two normal draws.  The trials run serially:
+    the Gram and the factorization already use the BLAS threads.  A
+    failed factorization raises FactorizationError; it is never retried
+    or jittered.
+    """
+    n_dims, n_trials, n_users = _logdet_case(n_dims, beta, gamma, n_trials)
     if gamma == 0.0:
         return McEstimate(0.0, 0.0, n_trials, int(seed))
+    n_chips = n_dims * n_users
     scale = 1.0 / math.sqrt(n_dims)
     vals = np.empty(n_trials)
     for trial in range(n_trials):
         rng = _generator(seed, _STREAM_DS, trial)
-        s = (rng.integers(0, 2, size=(n_dims, n_users)) * 2.0 - 1.0) * scale
+        chips = np.frombuffer(rng.bytes(-(-n_chips // 8)), dtype=np.uint8)
+        received = np.unpackbits(chips, count=n_chips).reshape(n_dims, n_users).astype(float)
         re = rng.standard_normal(n_users)
         im = rng.standard_normal(n_users)
-        vals[trial] = _logdet_capacity(s, 0.5 * (re * re + im * im), gamma)
+        amplitude = np.sqrt(0.5 * (re * re + im * im)) * scale
+        # bit b gives (2b - 1) |h| / sqrt(N), exactly
+        received *= 2.0 * amplitude
+        received -= amplitude
+        vals[trial] = _logdet_capacity(received, gamma)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0
     return McEstimate(mean=mean, std_error=se, n_samples=n_trials, seed=int(seed))

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from noma_limits import cli
+from noma_limits import cli, ensemble_lab, verification
 from noma_limits.cli import SweepSpec, fmt9, main
 from noma_limits.rates import SchemeSpec
 from noma_limits.verification import CRITERIA
@@ -534,6 +534,41 @@ class TestMcCommand:
         assert code == 2 and out == ""
         assert message in err
 
+    @pytest.mark.parametrize("argv", [
+        ("sumf", "--n", "10", "--beta", "20000", "--gamma", "1", "--samples", "3000000"),
+        ("sumf", "--n", "10", "--beta", "2", "--gamma", "1e304", "--samples", "3000000"),
+        ("ds-logdet", "--n", "16", "--beta", "20000", "--gamma", "1", "--trials", "5"),
+        ("ds-logdet", "--n", "16", "--beta", "2", "--gamma", "1e304", "--trials", "5"),
+        ("copt", "--n", "800", "--beta", "20000", "--gamma", "1"),
+    ])
+    def test_reference_domain_is_checked_before_any_draw(self, capsys, monkeypatch, argv):
+        def no_draws(*_args):
+            raise AssertionError("drew before checking the reference's domain")
+
+        monkeypatch.setattr(ensemble_lab, "_generator", no_draws)
+        code, out, err = run_cli(capsys, "mc", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("mc:") and "exceeds the largest supported" in err
+
+    def test_threaded_matched_filter_prints_the_same_bytes(self, capsys, monkeypatch):
+        argv = ("mc", "sumf", "--n", "10000", "--beta", "1", "--gamma", "10",
+                "--samples", "2500000", "--seed", "7")
+        monkeypatch.setenv("NOMA_LIMITS_THREADS", "1")
+        _, serial, _ = run_cli(capsys, *argv)
+        monkeypatch.setenv("NOMA_LIMITS_THREADS", "2")
+        _, threaded, _ = run_cli(capsys, *argv)
+        assert serial == threaded and json.loads(serial)["n"] == 2_500_000
+
+    def test_malformed_worker_count_is_a_usage_error(self, capsys, monkeypatch):
+        def no_draws(*_args):
+            raise AssertionError("drew before reading the worker count")
+
+        monkeypatch.setattr(ensemble_lab, "_generator", no_draws)
+        monkeypatch.setenv("NOMA_LIMITS_THREADS", "abc")
+        code, out, err = run_cli(capsys, "mc", "esd", "--n", "100", "--beta", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("mc:") and "NOMA_LIMITS_THREADS" in err
+
     def test_independence_record(self, capsys):
         code, out, _ = run_cli(capsys, "mc", "independence", "--n", "1000",
                                "--beta", "1", "--samples", "20000", "--seed", "2")
@@ -618,6 +653,17 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--suite", "fast", "--out",
                                "/nonexistent-dir-xyz/report.json")
         assert code == 3 and "cannot write" in err
+
+    def test_malformed_worker_count_is_a_usage_error(self, capsys, monkeypatch):
+        def no_criteria(*_args):
+            raise AssertionError("ran a criterion before reading the worker count")
+
+        monkeypatch.setattr(verification, "run_criterion", no_criteria)
+        monkeypatch.setenv("NOMA_LIMITS_THREADS", "abc")
+        code, out, err = run_cli(capsys, "verify", "--suite", "full")
+        assert code == 2 and out == ""
+        assert err.startswith("verify:") and "NOMA_LIMITS_THREADS" in err
+        assert len(err.splitlines()) == 1
 
     def test_unknown_suite_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,8 @@
 """Finite-size Monte Carlo laboratory: draws, spectra, estimators."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -343,6 +345,42 @@ class TestMcSumfRate:
         analytic = sumf_rate_lds_fading(ChannelPoint(3.0, 10.0)).bits_per_dim
         assert combined_z(est.mean, est.std_error, analytic, 0.0) < 4.0
 
+    @pytest.mark.parametrize("threads", ["1", "2", "5"])
+    @pytest.mark.parametrize("args, mean, std_error", [
+        ((10_000, 1.0, 10.0, 2_500_000, 7), 1.650853266435038, 0.0009071318201495276),
+        ((100, 3.0, 10.0, 1234, 5), 1.97762456081995, 0.07147652710422793),
+    ])
+    def test_worker_count_leaves_every_bit(self, monkeypatch, threads, args, mean, std_error):
+        # the values of the serial block loop; 5 workers exceed the
+        # three blocks of the first case and the one block of the second
+        monkeypatch.setenv("NOMA_LIMITS_THREADS", threads)
+        est = mc_sumf_rate(*args)
+        assert (est.mean, est.std_error) == (mean, std_error)
+
+    def test_slots_share_no_buffer_under_fast_switching(self, monkeypatch):
+        # three slots on fewer cores, switching threads every microsecond:
+        # two slots writing one buffer would change the sums
+        monkeypatch.setenv("NOMA_LIMITS_THREADS", "3")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            est = mc_sumf_rate(10_000, 1.0, 10.0, 2_500_000, 7)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (est.mean, est.std_error) == (1.650853266435038, 0.0009071318201495276)
+
+    def test_blocks_reuse_the_slot_buffers(self, monkeypatch):
+        # two slots hold an own-power and an interference buffer of 8 MB
+        # each; a per-block temporary would add at least 8 MB more
+        monkeypatch.setenv("NOMA_LIMITS_THREADS", "2")
+        tracemalloc.start()
+        try:
+            mc_sumf_rate(10_000, 3.0, 10.0, 2_000_000, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 * 8 * (1 << 20) + (1 << 20)
+
 
 class TestCollisionCountLaw:
     """The grouped draw behind mc_sumf_rate: how many of a block's
@@ -488,18 +526,22 @@ class TestMcDsFadingLogdet:
             sign, logdet = np.linalg.slogdet(np.eye(n_dims) + gamma * (b @ b.conj().T))
             assert sign.real == pytest.approx(1.0, abs=1e-12)
             expected = logdet / (n_dims * LN2)
-            got = _logdet_capacity(s, np.abs(h) ** 2, gamma)
+            got = _logdet_capacity(s * np.abs(h), gamma)
             assert got == pytest.approx(expected, rel=0.0, abs=1e-12)
 
     @pytest.mark.parametrize("beta", [0.5, 2.0])
     def test_estimate_matches_complex_route_on_the_same_draws(self, beta):
-        # per trial: binary S, then the real and imaginary fading parts
+        # per trial: one random bit per chip (1 is +1), then the real
+        # and imaginary fading parts
         n_dims, n_trials, seed, gamma = 32, 20, 9, 10.0
         n_users = round(beta * n_dims)
+        n_chips = n_dims * n_users
         vals = []
         for trial in range(n_trials):
             rng = _generator(seed, _STREAM_DS, trial)
-            s = (rng.integers(0, 2, size=(n_dims, n_users)) * 2.0 - 1.0) / math.sqrt(n_dims)
+            bits = np.unpackbits(np.frombuffer(rng.bytes(-(-n_chips // 8)), dtype=np.uint8),
+                                 count=n_chips).reshape(n_dims, n_users)
+            s = (bits * 2.0 - 1.0) / math.sqrt(n_dims)
             h = (rng.standard_normal(n_users) + 1j * rng.standard_normal(n_users)) / math.sqrt(2.0)
             b = s * h[None, :]
             vals.append(np.linalg.slogdet(np.eye(n_dims) + gamma * (b @ b.conj().T))[1]
