@@ -298,8 +298,10 @@ def _mc_record(args: argparse.Namespace) -> dict:
         se = float(terms.std(ddof=1) / math.sqrt(args.n)) if args.n > 1 else 0.0
         return _record(est, se, args.n, args.seed, ref)
     if kind == "esd":
-        draw = draw_system(args.n, _user_count(args.n, beta, _MAX_DRAW), args.seed)
-        dist = empirical_lsd_cdf_distance(gram_diagonal(draw), LsdMixture(beta))
+        n_users = _user_count(args.n, beta, _MAX_DRAW)
+        mixture = LsdMixture(beta)
+        draw = draw_system(args.n, n_users, args.seed)
+        dist = empirical_lsd_cdf_distance(gram_diagonal(draw), mixture)
         return _record(dist, 0.0, args.n, args.seed, 0.0)
     if kind == "ds-logdet":
         _require(args.gamma is not None, "--gamma is required for ds-logdet")

@@ -243,9 +243,13 @@ def sumf_rate_lds_fading_unit_form(point: ChannelPoint,
     variable t = z/(1+z), which folds the half line onto [0, 1).
 
     Kept as an independent route for cross-validation; the two forms
-    must agree to within their combined error estimates.
+    must agree to within their combined error estimates.  Loads above
+    3000 raise DomainError: the integrand lives on t = O(1/beta), which
+    the quadrature misses (it returns about 0 at 1e4).
     """
     beta, gamma = point.beta, point.gamma
+    if beta > 3000.0:
+        raise DomainError(f"beta = {beta!r} exceeds 3000, the largest load of the unit form")
 
     def integrand(t: float) -> float:
         u = 1.0 - t
@@ -314,8 +318,12 @@ def opt_se_lds_fading_erlang(point: ChannelPoint,
                              tol: Tolerance = DEFAULT_TOLERANCE) -> RateValue:
     """The same optimum-decoding rate with each Erlang expectation
     integrated against its density, so the cumulative-sum identity of
-    :func:`opt_se_lds_fading` is checked rather than trusted."""
+    :func:`opt_se_lds_fading` is checked rather than trusted.  Loads
+    above 30 raise DomainError: the quadrature misses the density's peak
+    at lambda ~ k, of width sqrt(k) (off by 6e-11 at 45, 40% at 100)."""
     beta, gamma = point.beta, point.gamma
+    if beta > 30.0:
+        raise DomainError(f"beta = {beta!r} exceeds 30, the largest load of the Erlang route")
     inner_tol = Tolerance(rel=tol.rel, abs=min(tol.abs, 1e-13), max_evals=tol.max_evals)
 
     def term(k: int) -> float:
@@ -453,29 +461,40 @@ def _shrinkage(s: float) -> float:
     return z * exp_integral_en_scaled(1, z)
 
 
+def _efficiency_bracket(beta: float, gamma: float) -> list[float]:
+    """The bracket [a, b] of :func:`mmse_efficiency_ds_fading`."""
+    lo = max(0.0, 1.0 - beta)
+    return sorted(min(1.0, max(lo, bound)) for bound in (
+        _mmse_sinr(gamma, 1.0 + (beta - 1.0) * gamma) / gamma,
+        _mmse_sinr(beta * math.log1p(gamma) / gamma, beta - 1.0)))
+
+
 def mmse_efficiency_ds_fading(point: ChannelPoint,
                               tol: Tolerance = DEFAULT_TOLERANCE) -> MmseEfficiency:
     """Multiuser efficiency x of the dense MMSE receiver under fading.
 
-    Solves x = 1 - beta + beta * E[1/(1 + x gamma Z)] on
-    [max(0, 1-beta), 1].  The residual x + (beta - 1) - beta * E[...]
-    strictly increases in x, because the expectation falls as x grows;
-    it is negative at the lower end and positive at x = 1.  So the
-    bracket holds exactly one root and Brent's method is started on it
-    directly, with no sign scan.  When rounding gives an end the wrong
-    sign (x = 1 once beta * gamma is below the rounding error of
-    beta - 1), the root lies within rounding of that end and the end
-    is returned.  FixedPointError is raised if the bracket shows no
-    sign change otherwise, as when the residual is not a number.
+    Solves x = 1 - beta + beta * E[1/(1 + x gamma Z)], Z ~ Exp(1).  The
+    residual x + (beta - 1) - beta * E[...] strictly increases in x, as
+    the expectation falls, so it has one root.  Brent's method runs on
+    [a, b], within a factor of about beta * ln(gamma) of the root (at
+    beta >= 1 and huge gamma it lies hundreds of decades below 1):
 
-    Brent's method is first tried on a bracket within a factor of about
-    beta * ln(gamma) of the root, because at beta >= 1 and huge gamma
-    the root lies hundreds of decades below 1.  Its lower end is the
-    no-fading efficiency, a lower bound by Jensen's inequality.  Its
-    upper end is the positive root of x^2 + (beta - 1) x =
-    beta ln(1 + gamma)/gamma, an upper bound since
-    e^z E_1(z) < ln(1 + 1/z).  The full bracket is used whenever the
-    computed residuals at those ends do not straddle zero.
+    - a, the no-fading efficiency (the positive root of
+      gamma x^2 + (1 + (beta - 1) gamma) x - 1), is a lower bound: by
+      Jensen's inequality for the convex 1/(1 + s),
+      E[1/(1 + x gamma Z)] >= 1/(1 + x gamma), so the residual at a is
+      at most the no-fading residual, which is zero there.
+    - b, the positive root of x^2 + (beta - 1) x = beta ln(1 + gamma)/gamma,
+      is an upper bound: E[1/(1 + s Z)] = z e^z E_1(z) < z ln(1 + 1/z)
+      at z = 1/s, so for x <= 1 the residual exceeds
+      (x^2 + (beta - 1) x - beta ln(1 + gamma)/gamma)/x, zero at b.
+
+    Both are clamped to [max(0, 1-beta), 1] and sorted, as a computed
+    pair can cross by an ulp.  If the residual is >= 0 at a, or <= 0 at
+    b, the root lies within rounding of that end (as at x = 1 once
+    beta * gamma is below the rounding error of beta - 1, or at
+    x = 1 - beta once gamma is huge), and the end is returned.
+    FixedPointError is raised when a residual is not a number.
     """
     beta, gamma = point.beta, point.gamma
     if gamma == 0.0:
@@ -493,24 +512,18 @@ def mmse_efficiency_ds_fading(point: ChannelPoint,
     # the width test alone decides: an absolute residual floor would
     # accept x ~ 1e-12 where the root is x ~ 1e-49
     root_tol = Tolerance(rel=1e-14, abs=0.0, max_evals=tol.max_evals)
-    lo = max(0.0, -shift)
-    tight_lo = max(lo, _mmse_sinr(gamma, 1.0 + shift * gamma) / gamma)
-    tight_hi = min(1.0, _mmse_sinr(beta * math.log1p(gamma) / gamma, shift))
-    if (math.isfinite(tight_lo) and math.isfinite(tight_hi) and tight_lo < tight_hi
-            and residual_fn(tight_lo) < 0.0 < residual_fn(tight_hi)):
-        x = find_root_bracketed(residual_fn, tight_lo, tight_hi, root_tol)
-        return MmseEfficiency(x, abs(residual_fn(x)))
-    r_lo = residual_fn(lo)
-    if r_lo >= 0.0:
-        return MmseEfficiency(lo, r_lo)
-    r_hi = residual_fn(1.0)
-    if r_hi <= 0.0:
-        return MmseEfficiency(1.0, -r_hi)
-    if not r_lo < 0.0 < r_hi:
+    a, b = _efficiency_bracket(beta, gamma)
+    r_a = residual_fn(a)
+    if r_a >= 0.0:
+        return MmseEfficiency(a, abs(r_a))
+    r_b = residual_fn(b)
+    if r_b <= 0.0:
+        return MmseEfficiency(b, abs(r_b))
+    if not r_a < 0.0 < r_b:
         raise FixedPointError(
-            f"no sign change on [{lo}, 1]: residual {r_lo:.3e} and {r_hi:.3e} "
+            f"no sign change on [{a}, {b}]: residual {r_a:.3e} and {r_b:.3e} "
             f"at beta={beta}, gamma={gamma}")
-    x = find_root_bracketed(residual_fn, lo, 1.0, root_tol)
+    x = find_root_bracketed(residual_fn, a, b, root_tol)
     return MmseEfficiency(x, abs(residual_fn(x)))
 
 

@@ -8,11 +8,11 @@ orderings, moment determinacy) and the Monte Carlo cross-validation
 dense-spreading log-det).  The analytic criteria form the fast suite;
 the Monte Carlo criteria join them in the full suite.
 
-Every expected number is computed inline: a closed form, a constant
+Every expected number is a closed form (the slopes come from
+``rates.low_snr_slope`` and ``rates.high_snr_slope``), a constant
 written into the check, or an independent route to the same rate.  No
-criterion reads the bundled golden file; ``load_golden`` serves it to
-the test suite.  Checks never adapt their tolerances to the observed
-values.
+criterion reads stored values, and checks never adapt their tolerances
+to the observed values.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from importlib import resources
 from typing import Callable
 
 import numpy as np
@@ -43,6 +42,8 @@ from .rates import (
     ChannelPoint,
     SchemeSpec,
     gamma_from_eta,
+    high_snr_slope,
+    low_snr_slope,
     mmse_efficiency_ds_fading,
     mmse_se_ds_nofading,
     opt_se_ds_fading,
@@ -62,7 +63,6 @@ __all__ = [
     "VerifyReport",
     "Criterion",
     "CRITERIA",
-    "load_golden",
     "run_criterion",
     "run_suite",
     "DEFAULT_SEED",
@@ -71,13 +71,6 @@ __all__ = [
 DEFAULT_SEED = 42
 
 _THREE_DB_DECADES = 3.0 * math.log2(10.0)  # log2-span of one 1e3 SNR ratio
-
-
-def load_golden() -> dict:
-    """Frozen expected values with the oracle that produced each one."""
-    path = resources.files("noma_limits").joinpath("golden/values.json")
-    with path.open("r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 @dataclass(frozen=True)
@@ -173,23 +166,21 @@ def _wideband_slope(rate_fn: Callable[[float], float]) -> float:
 
 
 def _check_wideband_slopes(seed: int) -> list[CheckResult]:
-    """Finite-difference wideband slopes match beta/(1+beta) for the
-    matched filter and 2 beta/(beta+2) for optimum decoding (fading)."""
+    """Finite-difference wideband slopes match low_snr_slope: beta/(1+beta)
+    for the matched filter and 2 beta/(beta+2) for optimum decoding
+    (fading)."""
     del seed
     tol_sumf = Tolerance(rel=1e-12, abs=1e-15, max_evals=400_000)
     tol_opt = Tolerance(rel=1e-12, abs=1e-14, max_evals=400_000)
+    routes = (("lds-sumf-fading", sumf_rate_lds_fading, tol_sumf),
+              ("lds-opt-fading", opt_se_lds_fading, tol_opt))
     out = []
     for beta in (0.5, 1.0, 2.0):
-        slope = _wideband_slope(
-            lambda g: sumf_rate_lds_fading(ChannelPoint(beta, g), tol_sumf).bits_per_dim)
-        expected = beta / (1.0 + beta)
-        out.append(CheckResult.compare(
-            f"wideband.lds-sumf-fading.beta{beta:g}", expected, slope, 0.01 * expected))
-        slope = _wideband_slope(
-            lambda g: opt_se_lds_fading(ChannelPoint(beta, g), tol_opt).bits_per_dim)
-        expected = 2.0 * beta / (beta + 2.0)
-        out.append(CheckResult.compare(
-            f"wideband.lds-opt-fading.beta{beta:g}", expected, slope, 0.01 * expected))
+        for name, route, tol in routes:
+            slope = _wideband_slope(lambda g: route(ChannelPoint(beta, g), tol).bits_per_dim)
+            expected = low_snr_slope(SchemeSpec.parse(name), beta)
+            out.append(CheckResult.compare(
+                f"wideband.{name}.beta{beta:g}", expected, slope, 0.01 * expected))
     return out
 
 
@@ -205,26 +196,19 @@ def _measured_high_snr_slope(scheme: SchemeSpec, beta: float) -> float:
 
 def _check_high_snr_slopes(seed: int) -> list[CheckResult]:
     """Per-3dB growth measured between SNR 1e5 and 1e8 matches
-    beta e^-beta (sparse, linear), 1 - e^-beta (sparse, optimum) and the
-    piecewise dense-MMSE values."""
+    high_snr_slope: beta e^-beta (sparse, linear), 1 - e^-beta (sparse,
+    optimum) and the piecewise dense-MMSE values."""
     del seed
     out = []
     for beta in (0.5, 1.0, 2.0):
-        for name in ("lds-sumf-nofading", "lds-sumf-fading"):
-            expected = beta * math.exp(-beta)
+        for name in ("lds-sumf-nofading", "lds-sumf-fading", "lds-opt-nofading",
+                     "lds-opt-fading", "ds-mmse-nofading"):
+            scheme = SchemeSpec.parse(name)
+            expected = high_snr_slope(scheme, beta)
+            tol = 0.02 * expected if expected > 0.0 else 0.02
             out.append(CheckResult.compare(
                 f"high-snr.{name}.beta{beta:g}", expected,
-                _measured_high_snr_slope(SchemeSpec.parse(name), beta), 0.02 * expected))
-        for name in ("lds-opt-nofading", "lds-opt-fading"):
-            expected = 1.0 - math.exp(-beta)
-            out.append(CheckResult.compare(
-                f"high-snr.{name}.beta{beta:g}", expected,
-                _measured_high_snr_slope(SchemeSpec.parse(name), beta), 0.02 * expected))
-        expected = beta if beta < 1.0 else (0.5 if beta == 1.0 else 0.0)
-        tol = 0.02 * expected if expected > 0.0 else 0.02
-        out.append(CheckResult.compare(
-            f"high-snr.ds-mmse-nofading.beta{beta:g}", expected,
-            _measured_high_snr_slope(SchemeSpec.parse("ds-mmse"), beta), tol))
+                _measured_high_snr_slope(scheme, beta), tol))
     return out
 
 

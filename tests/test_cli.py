@@ -550,6 +550,17 @@ class TestMcCommand:
         assert code == 2 and out == ""
         assert err.startswith("mc:") and "exceeds the largest supported" in err
 
+    def test_mixture_load_is_checked_before_any_draw(self, capsys, monkeypatch):
+        # the limiting mixture refuses loads above 1e5; the draw it would
+        # follow holds 1.6e7 users here
+        def no_draws(*_args):
+            raise AssertionError("drew before building the limiting mixture")
+
+        monkeypatch.setattr(ensemble_lab, "_generator", no_draws)
+        code, out, err = run_cli(capsys, "mc", "esd", "--n", "80", "--beta", "200000")
+        assert code == 2 and out == ""
+        assert err.startswith("mc:") and "at most 1e5 for the limiting mixture" in err
+
     def test_threaded_matched_filter_prints_the_same_bytes(self, capsys, monkeypatch):
         argv = ("mc", "sumf", "--n", "10000", "--beta", "1", "--gamma", "10",
                 "--samples", "2500000", "--seed", "7")

@@ -56,6 +56,8 @@ ALL_ROUTES = [
     opt_se_lds_nofading, opt_se_lds_fading, opt_se_lds_fading_alt, opt_se_lds_fading_erlang,
     opt_se_ds_nofading, mmse_se_ds_nofading, mmse_se_ds_fading, opt_se_ds_fading,
 ]
+# the largest load of each quadrature cross-check that has its own bound
+QUADRATURE_LOADS = {opt_se_lds_fading_erlang: 30.0, sumf_rate_lds_fading_unit_form: 3000.0}
 
 
 def single_user_rayleigh_capacity(gamma: float) -> float:
@@ -210,6 +212,24 @@ class TestRepresentations:
             b = sumf_rate_lds_fading_unit_form(point, tol).bits_per_dim
             assert abs(a - b) <= 1e-10
 
+    @pytest.mark.parametrize("route, series, rel", [
+        (opt_se_lds_fading_erlang, opt_se_lds_fading, 1e-13),
+        (sumf_rate_lds_fading_unit_form, sumf_rate_lds_fading, 1e-11),
+    ], ids=["erlang", "unit-form"])
+    def test_cross_check_refuses_loads_its_quadrature_misses(self, route, series, rel):
+        # above its bound the quadrature misses the peak of its integrand
+        # (40% off for the Erlang route at beta = 100, about 0 for the unit
+        # form at 1e4); at the bound it agrees with the series to rel,
+        # above the default absolute floor of 1e-12
+        bound = QUADRATURE_LOADS[route]
+        for beta in (math.nextafter(bound, math.inf), 3.0 * bound, 1e4):
+            with pytest.raises(DomainError, match=f"exceeds {bound:g}"):
+                route(ChannelPoint(beta, 10.0))
+        for gamma in (1e-12, 1e-3, 1.0, 1e3, 1e8, 1e100):
+            point = ChannelPoint(bound, gamma)
+            expected = series(point).bits_per_dim
+            assert abs(route(point).bits_per_dim - expected) <= rel * expected + 1e-12, gamma
+
     @pytest.mark.parametrize("z", [1e-12, 1e-3, 0.5, 1.0, 3.0, 300.0, 1e4])
     def test_recurrence_built_orders_match_direct_evaluation(self, z):
         orders = itertools.islice(_scaled_en_orders(z), 2000)
@@ -302,6 +322,18 @@ class TestStatedDomain:
             route(ChannelPoint(1.0001e4, 1.0))
         with pytest.raises(DomainError, match="largest supported SNR"):
             route(ChannelPoint(1.0, 1e304))
+        # two quadrature cross-checks stop at a lower load of their own:
+        # just above it they refuse, and at it they give a finite value or
+        # a typed error
+        if route in QUADRATURE_LOADS:
+            bound = QUADRATURE_LOADS[route]
+            with pytest.raises(DomainError, match=f"exceeds {bound:g}"):
+                route(ChannelPoint(math.nextafter(bound, math.inf), 1e303))
+            try:
+                assert math.isfinite(route(ChannelPoint(bound, 1e303)).bits_per_dim)
+            except NomaLimitsError:
+                pass
+            return
         # the derivative route runs minutes of quadrature at the corner,
         # so it meets each edge of the domain at a cheap point instead
         corners = ([(1e4, 1e-15), (1e-6, 1e303)] if route is opt_se_lds_fading_alt
@@ -556,6 +588,59 @@ class TestMmseEfficiency:
         eff = mmse_efficiency_ds_fading(ChannelPoint(beta, gamma))
         assert 0.0 < eff.value < 1e-10
         assert len(calls) <= 30
+
+    # mpmath at 50 digits (bisection in ln(x - max(0, 1 - beta))); the
+    # root lies within rounding of an end of the bound bracket at all
+    # but the last point
+    ROUNDED_ENDS = [
+        (1e-6, 1e-12, 0.999999999999999999),
+        (1e-6, 1e100, 0.9999990000000000000000453),
+        (0.01, 1e100, 0.9899999999999999997918332),
+        (0.0316, 1e300, 0.96839999999999999691358),
+        (0.1, 1e-12, 0.9999999999999000000000002),
+        (0.1, 1e100, 0.8999999999999999944488849),
+    ]
+
+    @pytest.mark.parametrize("beta, gamma, expected", ROUNDED_ENDS + [
+        (5418.855621354425, 8.058778763955284e-09, 0.99995633254902704711735),
+    ])
+    def test_matches_mpmath_on_the_bound_bracket(self, beta, gamma, expected):
+        eff = mmse_efficiency_ds_fading(ChannelPoint(beta, gamma))
+        assert eff.value == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("beta, gamma", [p[:2] for p in ROUNDED_ENDS])
+    def test_root_at_a_rounded_end_takes_two_residuals(self, monkeypatch, beta, gamma):
+        # the root lies within rounding of an end of the bound bracket,
+        # so one residual per end settles it
+        calls = []
+
+        def counting(n, x):
+            calls.append(x)
+            return exp_integral_en_scaled(n, x)
+
+        monkeypatch.setattr("noma_limits.rates.exp_integral_en_scaled", counting)
+        mmse_efficiency_ds_fading(ChannelPoint(beta, gamma))
+        assert len(calls) <= 2
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(log_beta=st.floats(-6.0, 4.0), log_gamma=st.floats(-12.0, 300.0))
+    def test_bounds_bracket_the_root(self, log_beta, log_gamma):
+        # the exact residual, in mpmath, is at most 0 four ulps below the
+        # lower bound and at least 0 four ulps above the upper one
+        import mpmath
+
+        beta, gamma = 10.0 ** log_beta, 10.0 ** log_gamma
+
+        def residual(x: float):
+            if x <= 0.0:
+                return -1  # x + (beta - 1) - beta at x = 0
+            z = 1 / (mpmath.mpf(x) * gamma)
+            return x + (mpmath.mpf(beta) - 1) - beta * z * mpmath.exp(z) * mpmath.e1(z)
+
+        a, b = rates._efficiency_bracket(beta, gamma)
+        assert max(0.0, 1.0 - beta) <= a <= b <= 1.0
+        with mpmath.workdps(30):
+            assert residual(a - 4 * math.ulp(a)) <= 0 <= residual(b + 4 * math.ulp(b))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(log_beta=st.floats(-3.0, 3.0), log_gamma=st.floats(-12.0, 300.0))
