@@ -9,7 +9,12 @@ Subcommands:
 * ``verify``  the bundled verification suite as a JSON report
 
 Exit codes: 0 success; 1 verification failure; 2 usage or domain error;
-3 I/O error.  All numbers are printed with 9 significant digits; JSON
+3 I/O error.  The commands raise; ``main`` is the one place that turns
+any ``NomaLimitsError`` into a single ``<command>: <message>`` line on
+stderr, with nothing on stdout, and exit 2.  The ``mc`` kinds are one
+lab call each: the estimator checks its sizes, computes its analytic
+reference and draws, in that order, and the record prints what it
+returns.  All numbers are printed with 9 significant digits; JSON
 records use lexicographic key order.  ``curve`` computes each scheme's
 rows in grid order, each inversion starting from the previous rows'
 roots.  ``NOMA_LIMITS_THREADS`` caps the workers over ``curve``'s
@@ -29,16 +34,7 @@ from dataclasses import dataclass
 from .combinatorics import EnsembleKind, exact_moments, moment_coefficients
 from .errors import DomainError, NomaLimitsError, NoSolutionError
 from .parallel import thread_count, thread_map
-from .rates import (
-    LN2,
-    ChannelPoint,
-    SchemeSpec,
-    gamma_from_eta,
-    opt_se_ds_fading,
-    opt_se_lds_fading,
-    spectral_efficiency,
-    sumf_rate_lds_fading,
-)
+from .rates import ChannelPoint, SchemeSpec, gamma_from_eta, spectral_efficiency
 
 __all__ = ["main", "entry", "SweepSpec", "fmt9"]
 
@@ -76,19 +72,19 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         if self.x_axis not in ("load", "ebn0-db"):
-            raise ValueError(f"x_axis must be 'load' or 'ebn0-db', got {self.x_axis!r}")
+            raise DomainError(f"x_axis must be 'load' or 'ebn0-db', got {self.x_axis!r}")
         if self.spacing not in ("linear", "log"):
-            raise ValueError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
+            raise DomainError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         if not (math.isfinite(self.x_max - self.x_min) and self.x_min < self.x_max):
-            raise ValueError(f"need x_min < x_max, got {self.x_min!r}, {self.x_max!r}")
+            raise DomainError(f"need x_min < x_max, got {self.x_min!r}, {self.x_max!r}")
         if self.spacing == "log" and self.x_min <= 0.0:
-            raise ValueError("log spacing requires x_min > 0")
+            raise DomainError("log spacing requires x_min > 0")
         if self.spacing == "log" and not math.isfinite(self.x_max / self.x_min):
-            raise ValueError(f"x_max / x_min overflows, got {self.x_min!r}, {self.x_max!r}")
+            raise DomainError(f"x_max / x_min overflows, got {self.x_min!r}, {self.x_max!r}")
         if not 2 <= self.n_points <= _MAX_POINTS:
-            raise ValueError(f"n_points must be between 2 and {_MAX_POINTS}, got {self.n_points}")
+            raise DomainError(f"n_points must be between 2 and {_MAX_POINTS}, got {self.n_points}")
         if not self.schemes:
-            raise ValueError("at least one scheme is required")
+            raise DomainError("at least one scheme is required")
 
     def grid(self) -> list[float]:
         n = self.n_points
@@ -115,28 +111,17 @@ def _eta_linear_to_db(eta: float) -> float:
 # ----------------------------------------------------------------------
 
 def _cmd_rate(args: argparse.Namespace) -> int:
-    if (args.gamma is None) == (args.eta_db is None):
-        print("rate: exactly one of --gamma / --eta-db is required", file=sys.stderr)
-        return 2
-    try:
-        scheme = SchemeSpec.parse(args.scheme)
-        if args.gamma is not None:
-            gamma = args.gamma
-            point = ChannelPoint(args.beta, gamma)
-            rate = spectral_efficiency(scheme, point).bits_per_dim
-            eta_db = (_eta_linear_to_db(args.beta * gamma / rate)
-                      if rate > 0.0 else float("nan"))
-        else:
-            eta = _eta_db_to_linear(args.eta_db)
-            gamma = gamma_from_eta(scheme, args.beta, eta)
-            rate = spectral_efficiency(scheme, ChannelPoint(args.beta, gamma)).bits_per_dim
-            eta_db = args.eta_db
-    except NoSolutionError as exc:
-        print(f"rate: below minimum energy per bit: {exc}", file=sys.stderr)
-        return 2
-    except NomaLimitsError as exc:
-        print(f"rate: {exc}", file=sys.stderr)
-        return 2
+    _require((args.gamma is None) != (args.eta_db is None),
+             "exactly one of --gamma / --eta-db is required")
+    scheme = SchemeSpec.parse(args.scheme)
+    if args.gamma is not None:
+        gamma = args.gamma
+        rate = spectral_efficiency(scheme, ChannelPoint(args.beta, gamma)).bits_per_dim
+        eta_db = _eta_linear_to_db(args.beta * gamma / rate) if rate > 0.0 else float("nan")
+    else:
+        eta_db = args.eta_db
+        gamma = gamma_from_eta(scheme, args.beta, _eta_db_to_linear(eta_db))
+        rate = spectral_efficiency(scheme, ChannelPoint(args.beta, gamma)).bits_per_dim
     print(f"scheme {scheme.name} beta {fmt9(args.beta)} gamma {fmt9(gamma)} "
           f"eta_db {fmt9(eta_db)} rate {fmt9(rate)}")
     return 0
@@ -188,31 +173,15 @@ def _curve_chain(spec: SweepSpec, scheme: SchemeSpec) -> list[tuple[str, str | N
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
-    if (args.beta is None) == (args.eta_db is None):
-        print("curve: exactly one of --beta (energy-per-bit sweep) / "
-              "--eta-db (load sweep) is required", file=sys.stderr)
-        return 2
-    try:
-        schemes = []
-        for chunk in args.scheme:
-            schemes.extend(SchemeSpec.parse(p) for p in chunk.split(",") if p)
-        if args.eta_db is not None:
-            spec = SweepSpec(x_axis="load", x_min=args.range[0], x_max=args.range[1],
-                             n_points=args.points, spacing=args.spacing,
-                             fixed_value=args.eta_db, schemes=tuple(schemes))
-        else:
-            spec = SweepSpec(x_axis="ebn0-db", x_min=args.range[0], x_max=args.range[1],
-                             n_points=args.points, spacing=args.spacing,
-                             fixed_value=args.beta, schemes=tuple(schemes))
-    except (NomaLimitsError, ValueError) as exc:
-        print(f"curve: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        chains = thread_map(lambda scheme: _curve_chain(spec, scheme), spec.schemes)
-    except NomaLimitsError as exc:
-        print(f"curve: {exc}", file=sys.stderr)
-        return 2
+    _require((args.beta is None) != (args.eta_db is None),
+             "exactly one of --beta (energy-per-bit sweep) / --eta-db (load sweep) is required")
+    schemes = tuple(SchemeSpec.parse(p) for chunk in args.scheme for p in chunk.split(",") if p)
+    load_sweep = args.eta_db is not None
+    spec = SweepSpec(x_axis="load" if load_sweep else "ebn0-db",
+                     x_min=args.range[0], x_max=args.range[1],
+                     n_points=args.points, spacing=args.spacing,
+                     fixed_value=args.eta_db if load_sweep else args.beta, schemes=schemes)
+    chains = thread_map(lambda scheme: _curve_chain(spec, scheme), spec.schemes)
     # deterministic output order regardless of how the work was scheduled
     names = [scheme.name for scheme in spec.schemes]
     order = sorted(range(len(names)), key=names.__getitem__)
@@ -240,16 +209,10 @@ _ENSEMBLES = {
 
 def _cmd_moments(args: argparse.Namespace) -> int:
     kind = _ENSEMBLES.get(args.ensemble)
-    if kind is None:
-        print(f"moments: unknown ensemble {args.ensemble!r}; "
-              f"choose from {', '.join(sorted(_ENSEMBLES))}", file=sys.stderr)
-        return 2
-    try:
-        vector = exact_moments(kind, args.lmax, args.beta)
-        rows = [moment_coefficients(kind, order) for order in vector.orders]
-    except NomaLimitsError as exc:
-        print(f"moments: {exc}", file=sys.stderr)
-        return 2
+    _require(kind is not None, f"unknown ensemble {args.ensemble!r}; "
+                               f"choose from {', '.join(sorted(_ENSEMBLES))}")
+    vector = exact_moments(kind, args.lmax, args.beta)
+    rows = [moment_coefficients(kind, order) for order in vector.orders]
     print(f"ensemble {args.ensemble} beta {fmt9(args.beta)}")
     for order, coeffs, value in zip(vector.orders, rows, vector.values):
         coeff_text = " ".join(str(c) for c in coeffs)
@@ -261,59 +224,34 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 # mc
 # ----------------------------------------------------------------------
 
+# the flags each kind needs beyond --n and --beta
+_MC_FLAGS = {
+    "sumf": ("gamma", "samples"),
+    "copt": ("gamma",),
+    "esd": (),
+    "ds-logdet": ("gamma", "trials"),
+    "independence": ("samples",),
+}
+
+
 def _mc_record(args: argparse.Namespace) -> dict:
-    import numpy as np
+    from . import ensemble_lab as lab
 
-    from .ensemble_lab import (
-        _MAX_DRAW,
-        LsdMixture,
-        _logdet_case,
-        _sumf_case,
-        _user_count,
-        draw_system,
-        empirical_lsd_cdf_distance,
-        gram_diagonal,
-        independence_diagnostic,
-        mc_ds_fading_logdet,
-        mc_sumf_rate,
-    )
-
-    kind = args.kind
-    beta = args.beta
-    if kind == "sumf":
-        _require(args.gamma is not None, "--gamma is required for sumf")
-        _require(args.samples is not None, "--samples is required for sumf")
-        # the sizes, then the reference's domain, before any sample is drawn
-        _sumf_case(args.n, beta, args.gamma, args.samples)
-        ref = sumf_rate_lds_fading(ChannelPoint(beta, args.gamma)).bits_per_dim
-        est = mc_sumf_rate(args.n, beta, args.gamma, args.samples, args.seed)
-        return _record(est.mean, est.std_error, args.samples, args.seed, ref)
-    if kind == "copt":
-        _require(args.gamma is not None, "--gamma is required for copt")
-        n_users = _user_count(args.n, beta, _MAX_DRAW)
-        ref = opt_se_lds_fading(ChannelPoint(beta, args.gamma)).bits_per_dim
-        values = gram_diagonal(draw_system(args.n, n_users, args.seed)).values
-        terms = np.log1p(args.gamma * values) / LN2
-        est = float(terms.mean())
-        se = float(terms.std(ddof=1) / math.sqrt(args.n)) if args.n > 1 else 0.0
-        return _record(est, se, args.n, args.seed, ref)
-    if kind == "esd":
-        n_users = _user_count(args.n, beta, _MAX_DRAW)
-        mixture = LsdMixture(beta)
-        draw = draw_system(args.n, n_users, args.seed)
-        dist = empirical_lsd_cdf_distance(gram_diagonal(draw), mixture)
-        return _record(dist, 0.0, args.n, args.seed, 0.0)
-    if kind == "ds-logdet":
-        _require(args.gamma is not None, "--gamma is required for ds-logdet")
-        _require(args.trials is not None, "--trials is required for ds-logdet")
-        _logdet_case(args.n, beta, args.gamma, args.trials)
-        ref = opt_se_ds_fading(ChannelPoint(beta, args.gamma)).bits_per_dim
-        est = mc_ds_fading_logdet(args.n, beta, args.gamma, args.trials, args.seed)
-        return _record(est.mean, est.std_error, args.trials, args.seed, ref)
-    # independence
-    _require(args.samples is not None, "--samples is required for independence")
-    corr = independence_diagnostic(args.n, beta, args.samples, args.seed)
-    return _record(corr, 1.0 / math.sqrt(args.samples), args.samples, args.seed, 0.0)
+    for flag in _MC_FLAGS[args.kind]:
+        _require(getattr(args, flag) is not None, f"--{flag} is required for {args.kind}")
+    n, beta, gamma, seed = args.n, args.beta, args.gamma, args.seed
+    if args.kind == "independence":
+        corr = lab.independence_diagnostic(n, beta, args.samples, seed)
+        return _record(corr, 1.0 / math.sqrt(args.samples), args.samples, seed, 0.0)
+    if args.kind == "sumf":
+        est = lab.mc_sumf_rate(n, beta, gamma, args.samples, seed)
+    elif args.kind == "copt":
+        est = lab.mc_opt_se(n, beta, gamma, seed)
+    elif args.kind == "esd":
+        est = lab.mc_lsd_distance(n, beta, seed)
+    else:
+        est = lab.mc_ds_fading_logdet(n, beta, gamma, args.trials, seed)
+    return _record(est.mean, est.std_error, est.n_samples, est.seed, est.reference)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -331,13 +269,8 @@ def _record(estimate: float, std_error: float, n: int, seed: int,
 def _cmd_mc(args: argparse.Namespace) -> int:
     import json
 
-    try:
-        thread_count()  # a malformed NOMA_LIMITS_THREADS fails before any draw
-        record = _mc_record(args)
-    except NomaLimitsError as exc:
-        print(f"mc: {exc}", file=sys.stderr)
-        return 2
-    return _write_text(args.out, json.dumps(record, sort_keys=True) + "\n")
+    thread_count()  # a malformed NOMA_LIMITS_THREADS fails before any draw
+    return _write_text(args.out, json.dumps(_mc_record(args), sort_keys=True) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -347,11 +280,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .verification import DEFAULT_SEED, run_suite
 
-    try:
-        thread_count()  # criterion 8 runs on the pool: check the cap first
-    except NomaLimitsError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return 2
+    thread_count()  # criterion 8 runs on the pool: check the cap first
     report = run_suite(args.suite, DEFAULT_SEED if args.seed is None else args.seed)
     status = _write_text(args.out, report.to_json())
     if status != 0:
@@ -434,8 +363,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.  The only error boundary: a ``NomaLimitsError``
+    from any command becomes one stderr line and exit 2."""
     args = _build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except NoSolutionError as exc:
+        message = f"below minimum energy per bit: {exc}"
+    except NomaLimitsError as exc:
+        message = str(exc)
+    print(f"{args.command}: {message}", file=sys.stderr)
+    return 2
 
 
 def entry() -> None:

@@ -86,12 +86,19 @@ def moment_coefficients(kind: EnsembleKind, order: int) -> list[int]:
 
 
 def lsd_moment(kind: EnsembleKind, order: int, beta: float) -> float:
-    """Order-`order` moment of the limiting spectral law at load `beta`."""
+    """Order-`order` moment of the limiting spectral law at load `beta`.
+    A moment beyond the largest double raises DomainError."""
     if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
         raise DomainError(f"beta must be a positive finite real, got {beta!r}")
     coeffs = moment_coefficients(kind, order)
     # all terms positive, summed low degree first
-    return float(sum(c * beta ** (idx + 1) for idx, c in enumerate(coeffs)))
+    try:
+        value = float(sum(c * beta ** (idx + 1) for idx, c in enumerate(coeffs)))
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise DomainError(f"the order-{order} moment at beta={beta!r} overflows a double")
+    return value
 
 
 @dataclass(frozen=True)

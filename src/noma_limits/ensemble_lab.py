@@ -6,6 +6,12 @@ and estimates empirical moments, spectral-distribution distances, and
 achievable rates that the closed forms in :mod:`noma_limits.rates` must
 match as the system grows.
 
+Each ``mc_*`` estimator owns its run end to end: it checks its sizes
+and seed, then computes its analytic reference (which checks the
+reference's domain), then draws, and returns an :class:`McEstimate`
+that carries the reference next to the estimate.  So a run that cannot
+be compared fails before anything is drawn.
+
 Reproducibility: every routine is a pure function of its arguments.
 Randomness comes from a counter-based generator keyed by
 (seed, stream tag, block index), so results are bit-for-bit identical
@@ -23,7 +29,7 @@ from .combinatorics import MomentVector
 from .errors import DomainError, FactorizationError
 from .numerics import reg_lower_gamma
 from .parallel import thread_count, thread_map
-from .rates import LN2, ChannelPoint
+from .rates import LN2, ChannelPoint, opt_se_ds_fading, opt_se_lds_fading, sumf_rate_lds_fading
 
 __all__ = [
     "SystemDraw",
@@ -35,12 +41,13 @@ __all__ = [
     "empirical_moments",
     "empirical_opt_se",
     "empirical_lsd_cdf_distance",
+    "mc_lsd_distance",
+    "mc_opt_se",
     "mc_sumf_rate",
     "mc_ds_fading_logdet",
     "independence_diagnostic",
 ]
 
-_MASK64 = (1 << 64) - 1
 _BLOCK = 1_000_000
 _MAX_ENTRIES = 1 << 24  # largest dense spreading matrix, about 128 MB of float64
 _MAX_USERS = 1 << 31  # the count law spans about 37 sqrt(K) counts at N = 2
@@ -60,12 +67,19 @@ _STREAM_DS = 3
 _STREAM_INDEP = 4
 
 
-def _generator(seed: int, stream: int, index: int = 0) -> np.random.Generator:
+def _check_seed(seed: int) -> int:
+    """The seed as a 64-bit key word; a larger one would alias a smaller."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise DomainError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
-    key = np.array([np.uint64(int(seed) & _MASK64),
+    if seed >= 1 << 64:
+        raise DomainError(f"seed must be below 2^64, got {seed}")
+    return int(seed)
+
+
+def _generator(seed: int, stream: int, index: int = 0) -> np.random.Generator:
+    key = np.array([np.uint64(_check_seed(seed)),
                     np.uint64(((stream & 0xFFFF) << 48) | (index & 0xFFFFFFFFFFFF))],
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -135,12 +149,14 @@ class GramDiagonal:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Monte Carlo estimate with its standard error."""
+    """Monte Carlo estimate with its standard error, and the analytic
+    reference it estimates."""
 
     mean: float
     std_error: float
     n_samples: int
     seed: int
+    reference: float
 
 
 def draw_system(n_dims: int, n_users: int, seed: int) -> SystemDraw:
@@ -188,14 +204,39 @@ def empirical_moments(gram: GramDiagonal, l_max: int) -> MomentVector:
                         values=tuple(values))
 
 
+def _opt_terms(gram: GramDiagonal, gamma: float) -> np.ndarray:
+    """ln(1 + gamma lambda_i) for each dimension: the per-dimension term,
+    in nats, of the optimum-decoding rate of one draw."""
+    if not (isinstance(gamma, (int, float)) and math.isfinite(gamma) and gamma >= 0):
+        raise DomainError(f"gamma must be a nonnegative finite real, got {gamma!r}")
+    return np.log1p(gamma * gram.values)
+
+
 def empirical_opt_se(gram: GramDiagonal, gamma: float) -> float:
     """Optimum-decoding spectral efficiency of one draw:
     (1/N) sum_i log2(1 + gamma lambda_i), using the diagonal eigenvalues."""
-    if not (isinstance(gamma, (int, float)) and math.isfinite(gamma) and gamma >= 0):
-        raise DomainError(f"gamma must be a nonnegative finite real, got {gamma!r}")
-    if gamma == 0.0:
-        return 0.0
-    return float(np.sum(np.log1p(gamma * gram.values)) / (gram.n_dims * LN2))
+    return float(np.sum(_opt_terms(gram, gamma)) / (gram.n_dims * LN2))
+
+
+def _draw_size(n_dims: int, beta: float) -> tuple[int, int]:
+    """(n_dims, n_users) of one system draw, checked before anything is
+    drawn: the user count first, as a huge n_dims may not even convert
+    to a float."""
+    n_users = _user_count(n_dims, beta, _MAX_DRAW)
+    return _check_size("n_dims", n_dims, _MAX_DRAW), n_users
+
+
+def mc_opt_se(n_dims: int, beta: float, gamma: float, seed: int) -> McEstimate:
+    """Optimum-decoding rate of one sparse-fading draw: the mean over its
+    n_dims dimensions of log2(1 + gamma lambda_i), with the standard
+    error of that mean (0 for one dimension), against the limit
+    opt_se_lds_fading."""
+    n_dims, n_users = _draw_size(n_dims, beta)
+    seed = _check_seed(seed)
+    reference = opt_se_lds_fading(ChannelPoint(beta, gamma)).bits_per_dim
+    terms = _opt_terms(gram_diagonal(draw_system(n_dims, n_users, seed)), gamma) / LN2
+    se = float(terms.std(ddof=1) / math.sqrt(n_dims)) if n_dims > 1 else 0.0
+    return McEstimate(float(terms.mean()), se, n_dims, seed, reference)
 
 
 def _pmf_from_mode(mode: int, ratio, last: float, cut: float) -> tuple[int, np.ndarray]:
@@ -308,6 +349,18 @@ def empirical_lsd_cdf_distance(gram: GramDiagonal, mixture: LsdMixture) -> float
                      np.max(np.abs(model_left - ecdf_lo))))
 
 
+def mc_lsd_distance(n_dims: int, beta: float, seed: int) -> McEstimate:
+    """Kolmogorov-Smirnov distance between one draw's spectrum and the
+    limiting mixture at load beta.  Its reference is 0, and it reports
+    no standard error (0).  The mixture, which refuses loads above 1e5,
+    is built before the draw."""
+    n_dims, n_users = _draw_size(n_dims, beta)
+    seed = _check_seed(seed)
+    mixture = LsdMixture(beta)
+    gram = gram_diagonal(draw_system(n_dims, n_users, seed))
+    return McEstimate(empirical_lsd_cdf_distance(gram, mixture), 0.0, n_dims, seed, 0.0)
+
+
 def _count_law(n: int, p: float) -> tuple[int, np.ndarray]:
     """Binomial(n, p) pmf as (c0, pmf) over the counts c0, c0 + 1, ...
     that hold all but at most 1e-300 of the mass on each side."""
@@ -316,16 +369,6 @@ def _count_law(n: int, p: float) -> tuple[int, np.ndarray]:
     q = 1.0 - p
     return _pmf_from_mode(min(n, int((n + 1) * p)),
                           lambda c: (n - c) * p / ((c + 1) * q), n, 1e-300)
-
-
-def _sumf_case(n_dims: int, beta: float, gamma: float,
-               n_samples: int) -> tuple[int, int, int]:
-    """(n_dims, n_samples, n_users) of a matched-filter run, checked
-    before anything is drawn."""
-    n_dims = _check_size("n_dims", n_dims)
-    n_samples = _check_size("n_samples", n_samples, _MAX_SAMPLES)
-    ChannelPoint(beta, gamma)  # domain checks on (beta, gamma)
-    return n_dims, n_samples, _user_count(n_dims, beta)
 
 
 def _sumf_block(rng: np.random.Generator, own: np.ndarray, interference: np.ndarray,
@@ -359,7 +402,7 @@ def mc_sumf_rate(n_dims: int, beta: float, gamma: float, n_samples: int,
     with K = round(beta * n_dims), interference Gamma(count, 1); the
     sample value is log2(1 + gamma a / (1 + gamma interference)) and the
     reported mean is beta times the sample average, i.e. the rate in
-    bits per dimension.
+    bits per dimension.  The reference is the limit sumf_rate_lds_fading.
 
     The samples of a block are exchangeable and only their sum and sum
     of squares are kept, so a block draws its m collision counts as a
@@ -378,9 +421,14 @@ def mc_sumf_rate(n_dims: int, beta: float, gamma: float, n_samples: int,
     sums are reduced with math.fsum, which is exactly rounded, so the
     result is bit-for-bit reproducible whatever the worker count.
     """
-    n_dims, n_samples, n_users = _sumf_case(n_dims, beta, gamma, n_samples)
+    n_dims = _check_size("n_dims", n_dims)
+    n_samples = _check_size("n_samples", n_samples, _MAX_SAMPLES)
+    seed = _check_seed(seed)
+    point = ChannelPoint(beta, gamma)  # before the user count, which reads beta
+    n_users = _user_count(n_dims, beta)
+    reference = sumf_rate_lds_fading(point).bits_per_dim
     if gamma == 0.0:
-        return McEstimate(0.0, 0.0, n_samples, int(seed))
+        return McEstimate(0.0, 0.0, n_samples, seed, reference)
     first, pmf = _count_law(n_users - 1, 1.0 / n_dims)
     slots = min(thread_count(), -(-n_samples // _BLOCK))
     size = min(_BLOCK, n_samples)
@@ -400,7 +448,7 @@ def mc_sumf_rate(n_dims: int, beta: float, gamma: float, n_samples: int,
     var_term = max(0.0, s2 / n_samples - mean_term * mean_term)
     return McEstimate(mean=beta * mean_term,
                       std_error=beta * math.sqrt(var_term / n_samples),
-                      n_samples=n_samples, seed=int(seed))
+                      n_samples=n_samples, seed=seed, reference=reference)
 
 
 def _logdet_capacity(received: np.ndarray, gamma: float) -> float:
@@ -425,20 +473,6 @@ def _logdet_capacity(received: np.ndarray, gamma: float) -> float:
     return float(2.0 * np.sum(np.log2(np.diagonal(chol))) / n_dims)
 
 
-def _logdet_case(n_dims: int, beta: float, gamma: float,
-                 n_trials: int) -> tuple[int, int, int]:
-    """(n_dims, n_trials, n_users) of a dense log-det run, checked
-    before anything is drawn."""
-    n_dims = _check_size("n_dims", n_dims, hi=2048)
-    n_trials = _check_size("n_trials", n_trials, _MAX_TRIALS)
-    ChannelPoint(beta, gamma)  # domain checks on (beta, gamma)
-    n_users = _user_count(n_dims, beta)
-    if n_dims * n_users > _MAX_ENTRIES:
-        raise DomainError(f"n_dims * n_users = {n_dims * n_users} spreading entries "
-                          f"exceed the limit of {_MAX_ENTRIES}")
-    return n_dims, n_trials, n_users
-
-
 def mc_ds_fading_logdet(n_dims: int, beta: float, gamma: float, n_trials: int,
                         seed: int) -> McEstimate:
     """Monte Carlo optimum-decoding rate of dense spreading under fading
@@ -452,11 +486,19 @@ def mc_ds_fading_logdet(n_dims: int, beta: float, gamma: float, n_trials: int,
     formed directly from the two normal draws.  The trials run serially:
     the Gram and the factorization already use the BLAS threads.  A
     failed factorization raises FactorizationError; it is never retried
-    or jittered.
+    or jittered.  The reference is the limit opt_se_ds_fading.
     """
-    n_dims, n_trials, n_users = _logdet_case(n_dims, beta, gamma, n_trials)
+    n_dims = _check_size("n_dims", n_dims, hi=2048)
+    n_trials = _check_size("n_trials", n_trials, _MAX_TRIALS)
+    seed = _check_seed(seed)
+    point = ChannelPoint(beta, gamma)  # before the user count, which reads beta
+    n_users = _user_count(n_dims, beta)
+    if n_dims * n_users > _MAX_ENTRIES:
+        raise DomainError(f"n_dims * n_users = {n_dims * n_users} spreading entries "
+                          f"exceed the limit of {_MAX_ENTRIES}")
+    reference = opt_se_ds_fading(point).bits_per_dim
     if gamma == 0.0:
-        return McEstimate(0.0, 0.0, n_trials, int(seed))
+        return McEstimate(0.0, 0.0, n_trials, seed, reference)
     n_chips = n_dims * n_users
     scale = 1.0 / math.sqrt(n_dims)
     vals = np.empty(n_trials)
@@ -473,7 +515,8 @@ def mc_ds_fading_logdet(n_dims: int, beta: float, gamma: float, n_trials: int,
         vals[trial] = _logdet_capacity(received, gamma)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0
-    return McEstimate(mean=mean, std_error=se, n_samples=n_trials, seed=int(seed))
+    return McEstimate(mean=mean, std_error=se, n_samples=n_trials, seed=seed,
+                      reference=reference)
 
 
 def independence_diagnostic(n_dims: int, beta: float, n_draws: int, seed: int) -> float:

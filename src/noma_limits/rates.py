@@ -245,11 +245,16 @@ def sumf_rate_lds_fading_unit_form(point: ChannelPoint,
     Kept as an independent route for cross-validation; the two forms
     must agree to within their combined error estimates.  Loads above
     3000 raise DomainError: the integrand lives on t = O(1/beta), which
-    the quadrature misses (it returns about 0 at 1e4).
+    the quadrature misses (it returns about 0 at 1e4).  So do SNRs above
+    1e8: the mass at 1 - t < 1/gamma cannot be resolved in t, and the
+    error against the series grows from 2.7e-11 at 1e8 to 1.9e-10 at
+    1e12 and to wrong values or NonConvergenceError from about 1e13.
     """
     beta, gamma = point.beta, point.gamma
     if beta > 3000.0:
         raise DomainError(f"beta = {beta!r} exceeds 3000, the largest load of the unit form")
+    if gamma > 1e8:
+        raise DomainError(f"gamma = {gamma!r} exceeds 1e8, the largest SNR of the unit form")
 
     def integrand(t: float) -> float:
         u = 1.0 - t

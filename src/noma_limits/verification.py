@@ -36,6 +36,7 @@ from .ensemble_lab import (
     mc_ds_fading_logdet,
     mc_sumf_rate,
 )
+from .errors import DomainError
 from .numerics import Tolerance
 from .rates import (
     LN2,
@@ -46,7 +47,6 @@ from .rates import (
     low_snr_slope,
     mmse_efficiency_ds_fading,
     mmse_se_ds_nofading,
-    opt_se_ds_fading,
     opt_se_ds_nofading,
     opt_se_lds_fading,
     opt_se_lds_fading_alt,
@@ -69,6 +69,12 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 42
+# the multiplier is an arbitrary prime large enough to keep criterion
+# seed blocks disjoint; 1002, criterion 10's last, is the largest tag
+_SEED_STRIDE = 1_000_003
+_LAST_TAG = 1002
+# the largest seed whose derived seeds all fit the lab's 64-bit keys
+_MAX_SEED = ((1 << 64) - 1 - _LAST_TAG) // _SEED_STRIDE
 
 _THREE_DB_DECADES = 3.0 * math.log2(10.0)  # log2-span of one 1e3 SNR ratio
 
@@ -126,9 +132,8 @@ class VerifyReport:
 
 
 def _derived_seed(master: int, tag: int) -> int:
-    # distinct, reproducible sub-seeds; the multiplier is an arbitrary
-    # prime large enough to keep criterion seed blocks disjoint
-    return master * 1_000_003 + tag
+    # distinct, reproducible sub-seeds
+    return master * _SEED_STRIDE + tag
 
 
 # ----------------------------------------------------------------------
@@ -324,11 +329,12 @@ def _check_lsd(seed: int) -> list[CheckResult]:
 
 def _check_sumf_mc(seed: int) -> list[CheckResult]:
     """Finite-size matched-filter Monte Carlo agrees with the analytic
-    rate within 3 standard errors and within 0.5% relative."""
+    rate (the estimate's reference) within 3 standard errors and within
+    0.5% relative."""
     out = []
     for tag, (beta, gamma) in enumerate(((1.0, 10.0), (3.0, 10.0), (0.5, 1.0)), start=1):
         est = mc_sumf_rate(10_000, beta, gamma, 10_000_000, _derived_seed(seed, 800 + tag))
-        analytic = sumf_rate_lds_fading(ChannelPoint(beta, gamma)).bits_per_dim
+        analytic = est.reference
         label = f"sumf-mc.beta{beta:g}.gamma{gamma:g}"
         out.append(CheckResult.compare(
             f"{label}.3se", analytic, est.mean, 3.0 * est.std_error))
@@ -361,15 +367,14 @@ def _check_opt_mc(seed: int) -> list[CheckResult]:
 
 def _check_ds_logdet(seed: int) -> list[CheckResult]:
     """Finite-size dense-spreading log-det sits within 2% of the
-    fixed-point rate, and the fixed-point residual stays below 1e-10."""
+    fixed-point rate (the estimate's reference), and the fixed-point
+    residual stays below 1e-10."""
     out = []
     for tag, (beta, gamma) in enumerate(((0.5, 10.0), (2.0, 10.0)), start=1):
-        point = ChannelPoint(beta, gamma)
         est = mc_ds_fading_logdet(256, beta, gamma, 200, _derived_seed(seed, 1000 + tag))
-        analytic = opt_se_ds_fading(point).bits_per_dim
-        out.append(CheckResult.compare(
-            f"ds-logdet.beta{beta:g}.gamma{gamma:g}", analytic, est.mean, 0.02 * analytic))
-        residual = mmse_efficiency_ds_fading(point).residual
+        out.append(CheckResult.compare(f"ds-logdet.beta{beta:g}.gamma{gamma:g}",
+                                       est.reference, est.mean, 0.02 * est.reference))
+        residual = mmse_efficiency_ds_fading(ChannelPoint(beta, gamma)).residual
         out.append(CheckResult.compare(
             f"ds-fixed-point-residual.beta{beta:g}.gamma{gamma:g}", 0.0, residual, 1e-10))
     return out
@@ -508,9 +513,15 @@ def run_criterion(criterion: Criterion, seed: int = DEFAULT_SEED) -> list[CheckR
 
 
 def run_suite(suite: str = "fast", seed: int = DEFAULT_SEED) -> VerifyReport:
-    """Run the fast (analytic) or full (analytic + Monte Carlo) suite."""
+    """Run the fast (analytic) or full (analytic + Monte Carlo) suite.
+    A seed whose derived seeds do not all fit the lab's 64-bit keys
+    raises DomainError before the first criterion, whichever the suite."""
     if suite not in ("fast", "full"):
         raise ValueError(f"suite must be 'fast' or 'full', got {suite!r}")
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= seed <= _MAX_SEED):
+        raise DomainError(f"seed must be an integer in [0, {_MAX_SEED}], got {seed!r}")
+    seed = int(seed)
     start = time.perf_counter()
     checks: list[CheckResult] = []
     times: dict[str, float] = {}

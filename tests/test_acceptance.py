@@ -8,7 +8,9 @@ message then carries the offending comparisons verbatim.
 
 import pytest
 
-from noma_limits.verification import CRITERIA, DEFAULT_SEED, run_criterion
+from noma_limits import ensemble_lab, verification
+from noma_limits.ensemble_lab import McEstimate
+from noma_limits.verification import _MAX_SEED, CRITERIA, DEFAULT_SEED, run_criterion
 
 
 @pytest.mark.parametrize("criterion", CRITERIA,
@@ -31,3 +33,26 @@ def test_every_criterion_is_numbered_uniquely():
     indices = [c.index for c in CRITERIA]
     assert indices == list(range(1, 14))
     assert len({c.key for c in CRITERIA}) == 13
+
+
+def test_the_largest_seed_derives_the_largest_key(monkeypatch):
+    # every seed the Monte Carlo criteria derive, with the draws replaced
+    # by recorders: at the largest seed run_suite accepts, the largest
+    # derived seed fits a 64-bit key and one seed more would not
+    seeds = []
+
+    def record_draw(_n_dims, _n_users, seed):
+        seeds.append(seed)
+        return ensemble_lab.draw_system(4, 4, 0)
+
+    def record_estimate(*args):
+        seeds.append(args[-1])
+        return McEstimate(1.0, 1.0, 1, args[-1], 1.0)
+
+    monkeypatch.setattr(verification, "draw_system", record_draw)
+    monkeypatch.setattr(verification, "mc_sumf_rate", record_estimate)
+    monkeypatch.setattr(verification, "mc_ds_fading_logdet", record_estimate)
+    for criterion in CRITERIA:
+        if criterion.suite == "full":
+            run_criterion(criterion, _MAX_SEED)
+    assert max(seeds) < 2 ** 64 <= max(seeds) + 1_000_003

@@ -10,6 +10,7 @@ import pytest
 
 from noma_limits import cli, ensemble_lab, verification
 from noma_limits.cli import SweepSpec, fmt9, main
+from noma_limits.errors import NomaLimitsError, NoSolutionError
 from noma_limits.rates import SchemeSpec
 from noma_limits.verification import CRITERIA
 
@@ -26,6 +27,51 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# ----------------------------------------------------------------------
+# The error boundary in main
+# ----------------------------------------------------------------------
+
+class TestErrorBoundary:
+    """Any NomaLimitsError a command raises becomes one stderr line, with
+    nothing on stdout, and exit 2."""
+
+    @pytest.mark.parametrize("module, name, argv", [
+        (cli, "spectral_efficiency",
+         ("rate", "--scheme", "lds-opt-fading", "--beta", "1", "--gamma", "1")),
+        (cli, "thread_map",
+         ("curve", "--scheme", "ds-mmse", "--beta", "1", "--range", "0", "1", "--points", "2")),
+        (cli, "exact_moments", ("moments", "lds-fading", "--beta", "1")),
+        (ensemble_lab, "mc_lsd_distance", ("mc", "esd", "--n", "10", "--beta", "1")),
+        (verification, "run_suite", ("verify", "--suite", "fast")),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_a_library_error_is_one_line_and_exit_2(self, capsys, monkeypatch,
+                                                    module, name, argv):
+        def broken(*_args, **_kwargs):
+            raise NomaLimitsError("injected")
+
+        monkeypatch.setattr(module, name, broken)
+        assert run_cli(capsys, *argv) == (2, "", f"{argv[0]}: injected\n")
+
+    def test_no_solution_keeps_its_prefix(self, capsys, monkeypatch):
+        def no_root(*_args, **_kwargs):
+            raise NoSolutionError("injected")
+
+        monkeypatch.setattr(cli, "gamma_from_eta", no_root)
+        code, out, err = run_cli(capsys, "rate", "--scheme", "lds-opt-fading",
+                                 "--beta", "1", "--eta-db", "10")
+        assert (code, out, err) == (2, "", "rate: below minimum energy per bit: injected\n")
+
+    def test_a_bug_is_not_hidden_as_a_usage_error(self, monkeypatch):
+        # only the package's own errors are mapped; anything else is a
+        # fault in the program and keeps its traceback
+        def broken(*_args, **_kwargs):
+            raise ZeroDivisionError("injected")
+
+        monkeypatch.setattr(cli, "exact_moments", broken)
+        with pytest.raises(ZeroDivisionError):
+            main(["moments", "lds-fading", "--beta", "1"])
 
 
 # ----------------------------------------------------------------------
@@ -425,6 +471,16 @@ class TestMomentsCommand:
                                "--beta", "1", "--lmax", "0")
         assert code == 2 and err.startswith("moments:")
 
+    @pytest.mark.parametrize("argv", [
+        ("lds-fading", "--beta", "1e308", "--lmax", "4"),
+        ("lds-fading", "--beta", "1e100", "--lmax", "64"),
+        ("ds-nofading", "--beta", "1e200", "--lmax", "2"),
+    ])
+    def test_a_moment_beyond_a_double_is_a_domain_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "moments", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("moments:") and "overflows a double" in err
+
 
 # ----------------------------------------------------------------------
 # mc
@@ -580,6 +636,32 @@ class TestMcCommand:
         assert code == 2 and out == ""
         assert err.startswith("mc:") and "NOMA_LIMITS_THREADS" in err
 
+    @pytest.mark.parametrize("kind, argv", [
+        ("sumf", ("--gamma", "1", "--samples", "1000")),
+        ("sumf", ("--gamma", "0", "--samples", "1000")),
+        ("copt", ("--gamma", "1")),
+        ("esd", ()),
+        ("ds-logdet", ("--gamma", "1", "--trials", "2")),
+        ("ds-logdet", ("--gamma", "0", "--trials", "2")),
+        ("independence", ("--samples", "1000")),
+    ])
+    @pytest.mark.parametrize("seed, message", [
+        (str(2 ** 64 + 5), "seed must be below 2^64"),
+        (str(2 ** 64), "seed must be below 2^64"),
+        ("-1", "seed must be nonnegative"),
+    ])
+    def test_seed_beyond_the_key_is_a_domain_error(self, capsys, kind, argv, seed, message):
+        # 2^64 + 5 once drew the same samples as seed 5
+        code, out, err = run_cli(capsys, "mc", kind, "--n", "10", "--beta", "1", *argv,
+                                 "--seed", seed)
+        assert code == 2 and out == ""
+        assert err.startswith("mc:") and message in err
+
+    def test_largest_seed_is_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "mc", "sumf", "--n", "10", "--beta", "1", "--gamma", "1",
+                               "--samples", "10", "--seed", str(2 ** 64 - 1))
+        assert code == 0 and json.loads(out)["seed"] == 2 ** 64 - 1
+
     def test_independence_record(self, capsys):
         code, out, _ = run_cli(capsys, "mc", "independence", "--n", "1000",
                                "--beta", "1", "--samples", "20000", "--seed", "2")
@@ -675,6 +757,25 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err.startswith("verify:") and "NOMA_LIMITS_THREADS" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("suite", ["fast", "full"])
+    @pytest.mark.parametrize("seed", ["-1", "18446688733644", str(2 ** 64)])
+    def test_seed_beyond_the_derived_keys_is_a_domain_error(self, capsys, monkeypatch,
+                                                             suite, seed):
+        # the middle seed is one past the largest whose derived seeds,
+        # up to seed * 1_000_003 + 1002, all fit a 64-bit key
+        def no_criteria(*_args):
+            raise AssertionError("ran a criterion before checking the seed")
+
+        monkeypatch.setattr(verification, "run_criterion", no_criteria)
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--seed", seed)
+        assert code == 2 and out == ""
+        assert err == f"verify: seed must be an integer in [0, 18446688733643], got {seed}\n"
+
+    def test_largest_seed_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(verification, "run_criterion", lambda *_args: [])
+        code, out, _ = run_cli(capsys, "verify", "--suite", "full", "--seed", "18446688733643")
+        assert code == 0 and json.loads(out)["seeds"] == [18446688733643]
 
     def test_unknown_suite_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:

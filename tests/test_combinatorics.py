@@ -186,6 +186,19 @@ class TestMoments:
         with pytest.raises(DomainError):
             exact_moments(EnsembleKind.LDS_FADING, 0, 1.0)
 
+    @pytest.mark.parametrize("kind, order, beta", [
+        (EnsembleKind.LDS_FADING, 4, 1e308),
+        (EnsembleKind.LDS_FADING, 64, 1e100),
+        (EnsembleKind.DS_NO_FADING, 2, 1e200),
+        # every power is finite here, and only the sum overflows
+        (EnsembleKind.LDS_FADING, 64, 65501.3),
+    ])
+    def test_a_moment_beyond_a_double_raises(self, kind, order, beta):
+        with pytest.raises(DomainError, match="overflows a double"):
+            lsd_moment(kind, order, beta)
+        with pytest.raises(DomainError, match="overflows a double"):
+            exact_moments(kind, order, beta)
+
     def test_fading_moments_match_compound_poisson_sampling(self):
         # independent distributional route: a Poisson(beta) count of
         # unit-rate exponentials is Gamma(count, 1)

@@ -26,6 +26,8 @@ from noma_limits.ensemble_lab import (
     gram_diagonal,
     independence_diagnostic,
     mc_ds_fading_logdet,
+    mc_lsd_distance,
+    mc_opt_se,
     mc_sumf_rate,
 )
 from noma_limits.errors import DomainError, FactorizationError
@@ -86,6 +88,14 @@ class TestDrawSystem:
             draw_system(5, 5, -1)
         with pytest.raises(DomainError):
             draw_system(5, 5, 1.5)
+        with pytest.raises(DomainError, match="below 2\\^64"):
+            draw_system(5, 5, 2 ** 64 + 5)  # once the same draw as seed 5
+
+    def test_seed_spans_the_whole_key_word(self):
+        last = draw_system(50, 50, 2 ** 64 - 1)
+        assert not np.array_equal(last.fade_powers, draw_system(50, 50, 0).fade_powers)
+        with pytest.raises(DomainError, match="below 2\\^64"):
+            _generator(2 ** 64, _STREAM_SUMF)
 
     def test_validates_field_lengths(self):
         with pytest.raises(DomainError):
@@ -431,6 +441,77 @@ class TestCollisionCountLaw:
         for c, value in enumerate(pmf):
             exact = math.comb(n, c) * p ** c * (1.0 - p) ** (n - c)
             assert value == pytest.approx(exact, rel=1e-12)
+
+
+class TestEstimatorReference:
+    """Each estimator checks its sizes, then computes its analytic
+    reference, then draws, and reports the reference with the estimate."""
+
+    RUNS = {
+        "sumf": lambda beta, gamma: mc_sumf_rate(10, beta, gamma, 3_000_000, 0),
+        "logdet": lambda beta, gamma: mc_ds_fading_logdet(16, beta, gamma, 5, 0),
+        "opt": lambda beta, gamma: mc_opt_se(800, beta, gamma, 0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    @pytest.mark.parametrize("beta, gamma, message", [
+        (2e4, 1.0, "largest supported load"),
+        (2.0, 1e304, "largest supported SNR"),
+    ])
+    def test_refuses_an_out_of_domain_reference_before_drawing(self, monkeypatch, name,
+                                                               beta, gamma, message):
+        def no_draws(*_args):
+            raise AssertionError("drew before checking the reference's domain")
+
+        monkeypatch.setattr(ensemble_lab, "_generator", no_draws)
+        with pytest.raises(DomainError, match=message):
+            self.RUNS[name](beta, gamma)
+
+    def test_mixture_load_is_refused_before_drawing(self, monkeypatch):
+        def no_draws(*_args):
+            raise AssertionError("drew before building the limiting mixture")
+
+        monkeypatch.setattr(ensemble_lab, "_generator", no_draws)
+        with pytest.raises(DomainError, match="at most 1e5 for the limiting mixture"):
+            mc_lsd_distance(80, 2e5, 0)
+
+    @pytest.mark.parametrize("reference, run", [
+        ("sumf_rate_lds_fading", lambda: mc_sumf_rate(10, 1.0, 1.0, 10 ** 12 + 1, 0)),
+        ("opt_se_ds_fading", lambda: mc_ds_fading_logdet(2048, 100.0, 1.0, 1, 0)),
+        ("opt_se_lds_fading", lambda: mc_opt_se(10 ** 8, 0.001, 1.0, 0)),
+        ("sumf_rate_lds_fading", lambda: mc_sumf_rate(10, 1.0, 1.0, 10, 2 ** 64)),
+    ])
+    def test_sizes_and_seed_are_checked_before_the_reference(self, monkeypatch, reference, run):
+        def no_reference(*_args):
+            raise AssertionError("computed the reference before checking the sizes")
+
+        monkeypatch.setattr(ensemble_lab, reference, no_reference)
+        with pytest.raises(DomainError):
+            run()
+
+    def test_each_estimate_carries_its_reference(self):
+        point = ChannelPoint(1.0, 3.0)
+        assert (mc_sumf_rate(100, 1.0, 3.0, 1000, 1).reference
+                == sumf_rate_lds_fading(point).bits_per_dim)
+        assert (mc_ds_fading_logdet(16, 1.0, 3.0, 2, 1).reference
+                == opt_se_ds_fading(point).bits_per_dim)
+        assert mc_opt_se(100, 1.0, 3.0, 1).reference == opt_se_lds_fading(point).bits_per_dim
+        assert mc_lsd_distance(100, 1.0, 1).reference == 0.0
+        # also where no sample is drawn
+        assert mc_sumf_rate(100, 1.0, 0.0, 10, 1).reference == 0.0
+
+    def test_one_draw_estimators_read_the_same_draw(self):
+        n_dims, beta, gamma, seed = 5000, 1.5, 10.0, 4
+        gram = gram_diagonal(draw_system(n_dims, round(beta * n_dims), seed))
+        opt = mc_opt_se(n_dims, beta, gamma, seed)
+        assert opt.mean == pytest.approx(empirical_opt_se(gram, gamma), rel=1e-14)
+        terms = np.log2(1.0 + gamma * gram.values)
+        assert opt.std_error == pytest.approx(np.std(terms, ddof=1) / math.sqrt(n_dims),
+                                              rel=1e-12)
+        assert (opt.n_samples, opt.seed) == (n_dims, seed)
+        lsd = mc_lsd_distance(n_dims, beta, seed)
+        assert lsd.mean == empirical_lsd_cdf_distance(gram, LsdMixture(beta))
+        assert (lsd.std_error, lsd.n_samples) == (0.0, n_dims)
 
 
 class TestEstimatorDomain:

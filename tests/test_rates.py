@@ -58,6 +58,8 @@ ALL_ROUTES = [
 ]
 # the largest load of each quadrature cross-check that has its own bound
 QUADRATURE_LOADS = {opt_se_lds_fading_erlang: 30.0, sumf_rate_lds_fading_unit_form: 3000.0}
+# and the largest SNR, for the one that has an SNR bound of its own
+QUADRATURE_SNRS = {sumf_rate_lds_fading_unit_form: 1e8}
 
 
 def single_user_rayleigh_capacity(gamma: float) -> float:
@@ -220,12 +222,22 @@ class TestRepresentations:
         # above its bound the quadrature misses the peak of its integrand
         # (40% off for the Erlang route at beta = 100, about 0 for the unit
         # form at 1e4); at the bound it agrees with the series to rel,
-        # above the default absolute floor of 1e-12
+        # above the default absolute floor of 1e-12.  Above 1e8 the unit
+        # form cannot resolve 1 - t < 1/gamma (NonConvergenceError at
+        # beta = 1, gamma = 1e13; 20% off at beta = 10, gamma = 1e300)
         bound = QUADRATURE_LOADS[route]
         for beta in (math.nextafter(bound, math.inf), 3.0 * bound, 1e4):
             with pytest.raises(DomainError, match=f"exceeds {bound:g}"):
                 route(ChannelPoint(beta, 10.0))
+        snr_bound = QUADRATURE_SNRS.get(route, math.inf)
+        if snr_bound < math.inf:
+            above = (math.nextafter(snr_bound, math.inf), 1e13, 1e300)
+            for beta, gamma in itertools.product((1.0, 10.0, bound), above):
+                with pytest.raises(DomainError, match="the largest SNR of the unit form"):
+                    route(ChannelPoint(beta, gamma))
         for gamma in (1e-12, 1e-3, 1.0, 1e3, 1e8, 1e100):
+            if gamma > snr_bound:
+                continue
             point = ChannelPoint(bound, gamma)
             expected = series(point).bits_per_dim
             assert abs(route(point).bits_per_dim - expected) <= rel * expected + 1e-12, gamma
