@@ -240,18 +240,17 @@ def _mc_record(args: argparse.Namespace) -> dict:
     for flag in _MC_FLAGS[args.kind]:
         _require(getattr(args, flag) is not None, f"--{flag} is required for {args.kind}")
     n, beta, gamma, seed = args.n, args.beta, args.gamma, args.seed
-    if args.kind == "independence":
-        corr = lab.independence_diagnostic(n, beta, args.samples, seed)
-        return _record(corr, 1.0 / math.sqrt(args.samples), args.samples, seed, 0.0)
     if args.kind == "sumf":
         est = lab.mc_sumf_rate(n, beta, gamma, args.samples, seed)
     elif args.kind == "copt":
         est = lab.mc_opt_se(n, beta, gamma, seed)
     elif args.kind == "esd":
         est = lab.mc_lsd_distance(n, beta, seed)
-    else:
+    elif args.kind == "ds-logdet":
         est = lab.mc_ds_fading_logdet(n, beta, gamma, args.trials, seed)
-    return _record(est.mean, est.std_error, est.n_samples, est.seed, est.reference)
+    else:
+        est = lab.independence_diagnostic(n, beta, args.samples, seed)
+    return _record(est)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -259,11 +258,12 @@ def _require(cond: bool, message: str) -> None:
         raise NomaLimitsError(message)
 
 
-def _record(estimate: float, std_error: float, n: int, seed: int,
-            reference: float) -> dict:
-    z = (estimate - reference) / std_error if std_error > 0.0 else 0.0
-    return {"analytic_reference": reference, "estimate": estimate, "n": n,
-            "seed": seed, "std_error": std_error, "z_score": z}
+def _record(est) -> dict:
+    """The JSON record of an ensemble_lab.McEstimate."""
+    se = est.std_error
+    z = (est.mean - est.reference) / se if se > 0.0 else 0.0
+    return {"analytic_reference": est.reference, "estimate": est.mean, "n": est.n_samples,
+            "seed": est.seed, "std_error": se, "z_score": z}
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:

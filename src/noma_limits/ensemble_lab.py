@@ -27,7 +27,6 @@ import numpy as np
 
 from .combinatorics import MomentVector
 from .errors import DomainError, FactorizationError
-from .numerics import reg_lower_gamma
 from .parallel import thread_count, thread_map
 from .rates import LN2, ChannelPoint, opt_se_ds_fading, opt_se_lds_fading, sumf_rate_lds_fading
 
@@ -293,32 +292,22 @@ class LsdMixture:
     def n_components(self) -> int:
         return len(self.component_weights)
 
-    def cdf(self, x: float) -> float:
-        """Mixture CDF at a single point, through the regularized lower
-        gamma function of each Erlang component."""
-        if not math.isfinite(x):
-            raise DomainError(f"x must be finite, got {x!r}")
-        if x < 0.0:
-            return 0.0
-        total = self.atom_weight
-        for k, w in enumerate(self.component_weights, start=1):
-            if w > 0.0:
-                total += w * reg_lower_gamma(k, x)
-        return min(1.0, total)
-
-    def cdf_many(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized mixture CDF.
+    def cdf(self, xs: np.ndarray) -> np.ndarray:
+        """Mixture CDF at each point of a one-dimensional array; a
+        non-finite entry raises DomainError.
 
         Uses the complement identity: summing Erlang CDFs against
         Poisson(beta) weights equals one minus the expectation, over a
         Poisson(x) count J, of the upper Poisson(beta) tail above J.  Each
         Poisson(x) term is formed in log space, since e^(-x) alone
-        underflows for x > 745.  Cross-checked against the scalar route
-        in the tests.
+        underflows for x > 745.  The tests compare it with scipy's
+        regularized lower gamma function summed over the components.
         """
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 1:
             raise DomainError("xs must be one-dimensional")
+        if not np.all(np.isfinite(xs)):
+            raise DomainError("xs must be finite")
         # upper[j] = mixture mass on components of shape strictly above j
         upper = self.component_weights[::-1].cumsum()[::-1]
         out = np.zeros_like(xs)
@@ -341,7 +330,7 @@ def empirical_lsd_cdf_distance(gram: GramDiagonal, mixture: LsdMixture) -> float
     uniq, counts = np.unique(gram.values, return_counts=True)
     ecdf_hi = np.cumsum(counts) / n
     ecdf_lo = ecdf_hi - counts / n
-    model = mixture.cdf_many(uniq)
+    model = mixture.cdf(uniq)
     # the lower comparison needs the model's left limit; the mixture is
     # continuous except for its single atom at zero
     model_left = np.where(uniq == 0.0, 0.0, model)
@@ -403,6 +392,11 @@ def mc_sumf_rate(n_dims: int, beta: float, gamma: float, n_samples: int,
     sample value is log2(1 + gamma a / (1 + gamma interference)) and the
     reported mean is beta times the sample average, i.e. the rate in
     bits per dimension.  The reference is the limit sumf_rate_lds_fading.
+    The estimator's expectation, the exact finite-N rate, is the limit's
+    series beta/ln2 * sum_m w_m e^x E_(m+1)(x), x = 1/gamma, with the
+    Binomial(K-1, 1/N) weights of _count_law in place of Poisson(beta)
+    ones; at N = 1e4 it differs from the limit by at most 3.5e-5
+    relative at the three points of verification criterion 8.
 
     The samples of a block are exchangeable and only their sum and sum
     of squares are kept, so a block draws its m collision counts as a
@@ -519,28 +513,49 @@ def mc_ds_fading_logdet(n_dims: int, beta: float, gamma: float, n_trials: int,
                       reference=reference)
 
 
-def independence_diagnostic(n_dims: int, beta: float, n_draws: int, seed: int) -> float:
+# the monomials d1^a d2^b of the shifted powers whose block sums the
+# independence diagnostic keeps
+_MONOMIALS = tuple((a, b) for a in range(5) for b in range(5 - a) if a + b)
+
+
+def independence_diagnostic(n_dims: int, beta: float, n_draws: int, seed: int) -> McEstimate:
     """Pearson correlation between the received powers of two fixed
-    dimensions across independent draws.
+    dimensions across independent draws, against its exact value.
 
     The pair is sampled from its exact joint law: the first dimension's
     occupancy is Binomial(K, 1/N), the second's is Binomial over the
     remaining users with success 1/(N-1), and powers are the
     corresponding Erlang sums; the other N-2 dimensions never need to be
     materialized.  The tests cross-check this shortcut against full
-    draws at small sizes.  In the large-system limit the correlation
-    vanishes (asymptotic independence); at finite N it sits near -1/(2N).
+    draws at small sizes.
+
+    The reference -1/(2N - 1) is exact at any K = round(beta N).  With
+    S_i = sum_k P_k 1{user k in dimension i} and unit-mean exponential
+    powers (E P^2 = 2), each user adds 2/N - 1/N^2 to Var S_i and, as
+    no user sits in both dimensions, -1/N^2 to Cov(S_1, S_2); so
+    Var S_i = K (2/N - 1/N^2) and Cov = -K/N^2.  It vanishes in the
+    large-system limit (asymptotic independence).
+
+    The standard error is the delta method's for Pearson's r,
+    sqrt(Var psi / n) with psi = z1 z2 - r (z1^2 + z2^2) / 2 over the
+    standardized powers: Var psi = mu22 - r (mu31 + mu13)
+    + r^2 (mu40 + 2 mu22 + mu04) / 4 in their central moments mu_ab.
+    Zero variance in either dimension gives r = 0 with standard error 0.
 
     Draws come in keyed blocks like mc_sumf_rate's, and only per-block
-    sums are kept, of the powers shifted by the first block's means so
-    the sums of squares do not cancel; memory stays at one block.
+    sums of d1^a d2^b, a + b <= 4, are kept, with d the powers shifted
+    by the first block's means so the sums do not cancel; they become
+    central moments once, after the last block.  Memory stays at one
+    block.
     """
     n_dims = _check_size("n_dims", n_dims)
     if n_dims < 2:
         raise DomainError("need at least two dimensions to correlate")
     n_draws = _check_size("n_draws", n_draws, _MAX_SAMPLES)
+    seed = _check_seed(seed)
     ChannelPoint(beta, 0.0)  # domain check on beta
     n_users = _user_count(n_dims, beta)
+    reference = -1.0 / (2 * n_dims - 1)
     shift = None
     sums = []
     for rng, m in _blocks(seed, _STREAM_INDEP, n_draws):
@@ -550,13 +565,30 @@ def independence_diagnostic(n_dims: int, beta: float, n_draws: int, seed: int) -
         s2 = rng.standard_gamma(k2)
         if shift is None:
             shift = float(s1.mean()), float(s2.mean())
-        d1 = s1 - shift[0]
-        d2 = s2 - shift[1]
-        sums.append((np.sum(d1), np.sum(d2), np.sum(d1 * d1), np.sum(d2 * d2), np.sum(d1 * d2)))
-    t1, t2, t11, t22, t12 = (math.fsum(column) for column in zip(*sums))
-    ss1 = max(0.0, t11 - t1 * t1 / n_draws)
-    ss2 = max(0.0, t22 - t2 * t2 / n_draws)
-    denom = math.sqrt(ss1 * ss2)
-    if denom == 0.0:
-        return 0.0
-    return (t12 - t1 * t2 / n_draws) / denom
+        p1, p2 = [1.0, s1 - shift[0]], [1.0, s2 - shift[1]]  # powers of d1 and d2
+        for _ in range(3):
+            p1.append(p1[-1] * p1[1])
+            p2.append(p2[-1] * p2[1])
+        sums.append([float(np.sum(p1[a] * p2[b])) for a, b in _MONOMIALS])
+    raw = dict(zip(_MONOMIALS, (math.fsum(column) / n_draws for column in zip(*sums))))
+    raw[0, 0] = 1.0
+    m1, m2 = raw[1, 0], raw[0, 1]
+
+    def central(a: int, b: int) -> float:
+        # mean of (d1 - m1)^a (d2 - m2)^b, by the binomial theorem
+        return math.fsum(math.comb(a, i) * math.comb(b, j) * (-m1) ** (a - i)
+                         * (-m2) ** (b - j) * raw[i, j]
+                         for i in range(a + 1) for j in range(b + 1))
+
+    var1, var2 = central(2, 0), central(0, 2)
+    if var1 <= 0.0 or var2 <= 0.0:
+        return McEstimate(0.0, 0.0, n_draws, seed, reference)
+
+    def mu(a: int, b: int) -> float:
+        return central(a, b) / (var1 ** (a / 2) * var2 ** (b / 2))
+
+    r = mu(1, 1)
+    var_psi = (mu(2, 2) - r * (mu(3, 1) + mu(1, 3))
+               + 0.25 * r * r * (mu(4, 0) + 2.0 * mu(2, 2) + mu(0, 4)))
+    return McEstimate(mean=r, std_error=math.sqrt(max(0.0, var_psi) / n_draws),
+                      n_samples=n_draws, seed=seed, reference=reference)

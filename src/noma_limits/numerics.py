@@ -1,8 +1,7 @@
 """Scalar numerical substrate for the rate formulas and the Monte Carlo lab.
 
-Provides exponential integrals of integer order (plain and
-exponentially scaled), the regularized lower incomplete gamma function
-for integer shape, adaptive Gauss-Kronrod quadrature on finite and
+Provides the exponentially scaled exponential integral e^x E_n(x) of
+integer order, adaptive Gauss-Kronrod quadrature on finite and
 semi-infinite intervals, Poisson-weighted series with a certified
 truncation bound, and a bracketed root finder (Brent's method).
 
@@ -24,9 +23,7 @@ __all__ = [
     "Tolerance",
     "QuadResult",
     "DEFAULT_TOLERANCE",
-    "exp_integral_en",
     "exp_integral_en_scaled",
-    "reg_lower_gamma",
     "integrate_interval",
     "integrate_semi_infinite",
     "poisson_weighted_sum",
@@ -208,19 +205,6 @@ def _e1_scaled(x: float) -> float:
     return _en_cf_scaled(1, x)
 
 
-def exp_integral_en(n: int, x: float) -> float:
-    """Exponential integral of integer order n >= 1 at x > 0.
-
-    Order 1 takes its power series up to x = 1; everywhere else the
-    value is e^(-x) times ``exp_integral_en_scaled``.
-    """
-    _require_order(n)
-    _require_positive_finite("x", x)
-    if n == 1 and x <= 1.0:
-        return _e1_series(x)
-    return math.exp(-x) * exp_integral_en_scaled(n, x)
-
-
 def exp_integral_en_scaled(n: int, x: float) -> float:
     """e^x times the order-n exponential integral, safe for very large x.
 
@@ -243,44 +227,6 @@ def exp_integral_en_scaled(n: int, x: float) -> float:
     for q in range(1, n):
         e = (1.0 - x * e) / q
     return e
-
-
-# ----------------------------------------------------------------------
-# Regularized lower incomplete gamma for integer shape
-# ----------------------------------------------------------------------
-
-def reg_lower_gamma(k: int, x: float) -> float:
-    """P(k, x) for integer shape k >= 1: the Erlang(k, 1) CDF at x >= 0."""
-    _require_order(k)
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 0):
-        raise DomainError(f"x must be a nonnegative finite real, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x < k + 1.0:
-        # lower series: good relative accuracy when the value is small
-        ap = float(k)
-        total = 1.0 / ap
-        delta = total
-        for _ in range(10_000):
-            ap += 1.0
-            delta *= x / ap
-            total += delta
-            if abs(delta) < abs(total) * _EPS:
-                return total * math.exp(k * math.log(x) - x - math.lgamma(k))
-        raise NonConvergenceError(f"lower-gamma series stalled at k={k}, x={x}")
-    # complement is the Poisson(x) mass below k, a finite sum whose
-    # largest term is its last (x > k - 1); that term is formed in log
-    # space, since e^(-x) alone underflows for x > 745, and the sum runs
-    # downward until a geometric bound on the rest is below an ulp
-    j = k - 1
-    term = math.exp(j * math.log(x) - x - math.lgamma(k))
-    q = 0.0
-    while True:
-        q += term
-        if j == 0 or term * j <= _EPS * q * (x - j):
-            return max(0.0, 1.0 - q)
-        term *= j / x
-        j -= 1
 
 
 # ----------------------------------------------------------------------

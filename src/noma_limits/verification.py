@@ -11,8 +11,9 @@ the Monte Carlo criteria join them in the full suite.
 Every expected number is a closed form (the slopes come from
 ``rates.low_snr_slope`` and ``rates.high_snr_slope``), a constant
 written into the check, or an independent route to the same rate.  No
-criterion reads stored values, and checks never adapt their tolerances
-to the observed values.
+criterion reads stored values.  A Monte Carlo check may compare at
+3 standard errors of its own estimate; every other tolerance is fixed
+in the check.
 """
 
 from __future__ import annotations
@@ -330,7 +331,13 @@ def _check_lsd(seed: int) -> list[CheckResult]:
 def _check_sumf_mc(seed: int) -> list[CheckResult]:
     """Finite-size matched-filter Monte Carlo agrees with the analytic
     rate (the estimate's reference) within 3 standard errors and within
-    0.5% relative."""
+    0.5% relative.
+
+    The estimator samples N = 1e4 exactly, so its mean is the same
+    series as the limit with Binomial(K - 1, 1/N) collision weights in
+    place of Poisson(beta) ones; at the three points that exact rate is
+    3.5e-5, 5.4e-6 and 2.7e-5 above the limit, relative, well inside
+    3 standard errors."""
     out = []
     for tag, (beta, gamma) in enumerate(((1.0, 10.0), (3.0, 10.0), (0.5, 1.0)), start=1):
         est = mc_sumf_rate(10_000, beta, gamma, 10_000_000, _derived_seed(seed, 800 + tag))
@@ -366,14 +373,16 @@ def _check_opt_mc(seed: int) -> list[CheckResult]:
 # ----------------------------------------------------------------------
 
 def _check_ds_logdet(seed: int) -> list[CheckResult]:
-    """Finite-size dense-spreading log-det sits within 2% of the
-    fixed-point rate (the estimate's reference), and the fixed-point
-    residual stays below 1e-10."""
+    """Finite-size dense-spreading log-det sits within 3 standard errors
+    of the fixed-point rate (the estimate's reference), and the
+    fixed-point residual stays below 1e-10.  At 200 trials of N = 256,
+    3 standard errors are about 0.9% and 0.3% of the rate at the two
+    points."""
     out = []
     for tag, (beta, gamma) in enumerate(((0.5, 10.0), (2.0, 10.0)), start=1):
         est = mc_ds_fading_logdet(256, beta, gamma, 200, _derived_seed(seed, 1000 + tag))
         out.append(CheckResult.compare(f"ds-logdet.beta{beta:g}.gamma{gamma:g}",
-                                       est.reference, est.mean, 0.02 * est.reference))
+                                       est.reference, est.mean, 3.0 * est.std_error))
         residual = mmse_efficiency_ds_fading(ChannelPoint(beta, gamma)).residual
         out.append(CheckResult.compare(
             f"ds-fixed-point-residual.beta{beta:g}.gamma{gamma:g}", 0.0, residual, 1e-10))
@@ -452,15 +461,16 @@ def _check_carleman(seed: int) -> list[CheckResult]:
 
 def _check_hand_anchors(seed: int) -> list[CheckResult]:
     """Dense spreading without fading at beta=1, gamma=2: MMSE rate is
-    exactly 1 bit and the optimum rate is 2 - 1/(2 ln 2)."""
+    exactly 1 bit and the optimum rate is 2 - 1/(2 ln 2), each within
+    8 machine epsilons of its value, the closed forms' stated error."""
     del seed
     point = ChannelPoint(1.0, 2.0)
-    return [
-        CheckResult.compare("anchor.ds-mmse", 1.0,
-                            mmse_se_ds_nofading(point).bits_per_dim, 1e-4),
-        CheckResult.compare("anchor.ds-opt", 1.27865,
-                            opt_se_ds_nofading(point).bits_per_dim, 1e-4),
-    ]
+    out = []
+    for name, route, expected in (("ds-mmse", mmse_se_ds_nofading, 1.0),
+                                  ("ds-opt", opt_se_ds_nofading, 2.0 - 1.0 / (2.0 * LN2))):
+        out.append(CheckResult.compare(f"anchor.{name}", expected,
+                                       route(point).bits_per_dim, 8.0 * math.ulp(1.0) * expected))
+    return out
 
 
 # ----------------------------------------------------------------------

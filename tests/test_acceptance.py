@@ -6,6 +6,8 @@ A criterion fails the gate if any of its checks fails; the assertion
 message then carries the offending comparisons verbatim.
 """
 
+import dataclasses
+
 import pytest
 
 from noma_limits import ensemble_lab, verification
@@ -56,3 +58,36 @@ def test_the_largest_seed_derives_the_largest_key(monkeypatch):
         if criterion.suite == "full":
             run_criterion(criterion, _MAX_SEED)
     assert max(seeds) < 2 ** 64 <= max(seeds) + 1_000_003
+
+
+def _criterion(key):
+    return next(c for c in CRITERIA if c.key == key)
+
+
+def test_ds_logdet_fails_a_reference_one_percent_off(monkeypatch):
+    # 3 standard errors are 0.86% and 0.30% of the rate at seed 42
+    real = verification.mc_ds_fading_logdet
+
+    def scaled(*args):
+        est = real(*args)
+        return dataclasses.replace(est, reference=1.01 * est.reference)
+
+    monkeypatch.setattr(verification, "mc_ds_fading_logdet", scaled)
+    failed = {c.name for c in run_criterion(_criterion("ds-logdet")) if not c.passed}
+    assert failed == {"10.ds-logdet.beta0.5.gamma10", "10.ds-logdet.beta2.gamma10"}
+
+
+@pytest.mark.parametrize("route, check", [
+    ("mmse_se_ds_nofading", "13.anchor.ds-mmse"),
+    ("opt_se_ds_nofading", "13.anchor.ds-opt"),
+])
+def test_hand_anchors_fail_a_route_1e_12_off(monkeypatch, route, check):
+    real = getattr(verification, route)
+
+    def scaled(point):
+        value = real(point)
+        return dataclasses.replace(value, bits_per_dim=(1.0 + 1e-12) * value.bits_per_dim)
+
+    monkeypatch.setattr(verification, route, scaled)
+    failed = [c.name for c in run_criterion(_criterion("hand-anchors")) if not c.passed]
+    assert failed == [check]

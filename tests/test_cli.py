@@ -668,7 +668,19 @@ class TestMcCommand:
         assert code == 0
         record = json.loads(out)
         assert abs(record["estimate"]) < 0.04
-        assert record["std_error"] == pytest.approx(1.0 / math.sqrt(20000))
+        est = ensemble_lab.independence_diagnostic(1000, 1.0, 20000, 2)
+        assert record == {"analytic_reference": -1.0 / 1999.0, "estimate": est.mean,
+                          "n": 20000, "seed": 2, "std_error": est.std_error,
+                          "z_score": (est.mean - est.reference) / est.std_error}
+
+    def test_independence_z_score_is_against_the_exact_correlation(self, capsys):
+        # the record once compared with 0 at an SE of 1/sqrt(n): z = -21.6
+        code, out, _ = run_cli(capsys, "mc", "independence", "--n", "2",
+                               "--beta", "8", "--samples", "4000", "--seed", "6")
+        assert code == 0
+        record = json.loads(out)
+        assert record["analytic_reference"] == -1.0 / 3.0
+        assert abs(record["z_score"]) < 3.0
 
     @pytest.mark.parametrize("argv, missing", [
         (("mc", "sumf", "--n", "100", "--beta", "1", "--samples", "10"), "--gamma"),

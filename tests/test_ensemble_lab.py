@@ -232,22 +232,29 @@ class TestLsdMixture:
             total = mix.atom_weight + float(np.sum(mix.component_weights))
             assert total == pytest.approx(1.0, abs=1e-12)
 
+    @staticmethod
+    def _scipy_cdf(mix: LsdMixture, xs: np.ndarray) -> np.ndarray:
+        """The mixture CDF at nonnegative xs as the atom plus the
+        Poisson-weighted Erlang CDFs, through scipy's regularized lower
+        gamma function."""
+        from scipy.special import gammainc
+
+        shapes = np.arange(1, mix.n_components + 1)
+        return mix.atom_weight + gammainc(shapes, xs[:, None]) @ mix.component_weights
+
     def test_cdf_shape(self):
         mix = LsdMixture(1.0)
-        assert mix.cdf(-0.5) == 0.0
-        assert mix.cdf(0.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
-        assert mix.cdf(60.0) == pytest.approx(1.0, abs=1e-10)
-        grid = [0.1 * i for i in range(200)]
-        vals = [mix.cdf(x) for x in grid]
-        assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
+        assert mix.cdf(np.array([-0.5]))[0] == 0.0
+        assert mix.cdf(np.array([0.0]))[0] == pytest.approx(math.exp(-1.0), rel=1e-14)
+        assert mix.cdf(np.array([60.0]))[0] == pytest.approx(1.0, abs=1e-10)
+        vals = mix.cdf(0.1 * np.arange(200))
+        assert np.all(vals[:-1] <= vals[1:] + 1e-15)
 
-    def test_vectorized_cdf_matches_scalar(self):
+    def test_cdf_matches_scipy_mixture(self):
         for beta in (0.4, 1.0, 2.5):
             mix = LsdMixture(beta)
             xs = np.array([0.0, 1e-4, 0.3, 1.0, 2.7, 8.0, 25.0])
-            many = mix.cdf_many(xs)
-            each = np.array([mix.cdf(float(x)) for x in xs])
-            assert np.allclose(many, each, rtol=1e-10, atol=1e-13)
+            assert np.allclose(mix.cdf(xs), self._scipy_cdf(mix, xs), rtol=1e-10, atol=1e-13)
 
     @pytest.mark.parametrize("beta", [745.0, 746.0, 1e4])
     def test_weights_sum_to_one_at_large_loads(self, beta):
@@ -265,19 +272,22 @@ class TestLsdMixture:
     ])
     def test_large_load_cdf_matches_mpmath(self, beta, x, expected):
         mix = LsdMixture(beta)
-        assert mix.cdf(x) == pytest.approx(expected, rel=1e-10)
-        assert mix.cdf_many(np.array([x]))[0] == pytest.approx(expected, rel=1e-10)
+        assert self._scipy_cdf(mix, np.array([x]))[0] == pytest.approx(expected, rel=1e-15)
+        assert mix.cdf(np.array([x]))[0] == pytest.approx(expected, rel=1e-10)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
             LsdMixture(0.0)
         with pytest.raises(DomainError):
             LsdMixture(1.1e5)
-        mix = LsdMixture(1.0)
         with pytest.raises(DomainError):
-            mix.cdf(float("nan"))
-        with pytest.raises(DomainError):
-            mix.cdf_many(np.zeros((2, 2)))
+            LsdMixture(1.0).cdf(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_points(self, bad):
+        # a NaN once read as probability 0
+        with pytest.raises(DomainError, match="finite"):
+            LsdMixture(1.0).cdf(np.array([0.5, bad]))
 
 
 class TestLsdDistance:
@@ -497,6 +507,7 @@ class TestEstimatorReference:
                 == opt_se_ds_fading(point).bits_per_dim)
         assert mc_opt_se(100, 1.0, 3.0, 1).reference == opt_se_lds_fading(point).bits_per_dim
         assert mc_lsd_distance(100, 1.0, 1).reference == 0.0
+        assert independence_diagnostic(100, 1.0, 10, 1).reference == -1.0 / 199.0
         # also where no sample is drawn
         assert mc_sumf_rate(100, 1.0, 0.0, 10, 1).reference == 0.0
 
@@ -669,13 +680,16 @@ class TestIndependenceDiagnostic:
         assert a == b
 
     def test_large_system_correlation_vanishes(self):
-        corr = independence_diagnostic(10_000, 1.0, 100_000, 12)
-        assert abs(corr) < 3.0 / math.sqrt(100_000) + 1.0 / 10_000
+        est = independence_diagnostic(10_000, 1.0, 100_000, 12)
+        assert abs(est.mean) < 3.0 / math.sqrt(100_000) + 1.0 / 10_000
 
     def test_tiny_system_correlates_negatively(self):
-        # with two dimensions the occupancies compete for the same users
-        corr = independence_diagnostic(2, 8.0, 4000, 6)
-        assert corr < -0.1
+        # with two dimensions the occupancies compete for the same users:
+        # the correlation is -1/(2N - 1) = -1/3 at any load
+        est = independence_diagnostic(2, 8.0, 4000, 6)
+        assert est.mean < -0.1
+        assert est.reference == -1.0 / 3.0
+        assert abs(est.mean - est.reference) < 3.0 * est.std_error
 
     def test_shortcut_matches_full_draws_at_small_size(self):
         # the diagnostic samples the pair from its exact joint law; a
@@ -688,7 +702,7 @@ class TestIndependenceDiagnostic:
         s1 = np.sum(np.where(positions == 0, powers, 0.0), axis=1)
         s2 = np.sum(np.where(positions == 1, powers, 0.0), axis=1)
         full = float(np.corrcoef(s1, s2)[0, 1])
-        assert shortcut == pytest.approx(full, abs=0.02)
+        assert shortcut.mean == pytest.approx(full, abs=0.02)
 
     @pytest.mark.parametrize("n_dims, beta", [(50, 2.0), (10, 1000.0)])
     def test_block_sums_match_two_pass_pearson(self, monkeypatch, n_dims, beta):
@@ -708,8 +722,30 @@ class TestIndependenceDiagnostic:
         d1 -= d1.mean()
         d2 -= d2.mean()
         expected = float(np.sum(d1 * d2)) / math.sqrt(float(np.sum(d1 * d1) * np.sum(d2 * d2)))
-        corr = independence_diagnostic(n_dims, beta, n_draws, seed)
-        assert corr == pytest.approx(expected, rel=0.0, abs=1e-12)
+        # the delta method's influence function of r, on the standardized draws
+        z1 = d1 / math.sqrt(float(np.mean(d1 * d1)))
+        z2 = d2 / math.sqrt(float(np.mean(d2 * d2)))
+        psi = z1 * z2 - expected * (z1 * z1 + z2 * z2) / 2.0
+        expected_se = math.sqrt(float(np.mean(psi * psi)) / n_draws)
+        est = independence_diagnostic(n_dims, beta, n_draws, seed)
+        assert est.mean == pytest.approx(expected, rel=0.0, abs=1e-12)
+        assert est.std_error == pytest.approx(expected_se, rel=1e-9)
+        assert (est.n_samples, est.seed) == (n_draws, seed)
+
+    def test_zero_variance_gives_zero_correlation_and_error(self):
+        # one user among a million dimensions lands in neither of the two
+        # in any of the ten draws
+        est = independence_diagnostic(10 ** 6, 1e-6, 10, 0)
+        assert (est.mean, est.std_error) == (0.0, 0.0)
+        assert est.reference == -1.0 / (2 * 10 ** 6 - 1)
+
+    def test_seed_is_checked_before_any_draw(self, monkeypatch):
+        def no_draws(*_args):
+            raise AssertionError("drew before checking the seed")
+
+        monkeypatch.setattr(ensemble_lab, "_generator", no_draws)
+        with pytest.raises(DomainError, match="seed must be below 2"):
+            independence_diagnostic(10, 1.0, 10, 2 ** 64)
 
     def test_rejects_single_dimension(self):
         with pytest.raises(DomainError):

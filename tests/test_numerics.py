@@ -12,13 +12,11 @@ from noma_limits.errors import BadBracketError, DomainError, NonConvergenceError
 from noma_limits.numerics import (
     DEFAULT_TOLERANCE,
     Tolerance,
-    exp_integral_en,
     exp_integral_en_scaled,
     find_root_bracketed,
     integrate_interval,
     integrate_semi_infinite,
     poisson_weighted_sum,
-    reg_lower_gamma,
 )
 
 
@@ -51,42 +49,46 @@ class TestTolerance:
 # Exponential integrals
 # ----------------------------------------------------------------------
 
+def _plain_en(n: int, x: float) -> float:
+    """E_n(x) itself, from the scaled form the library provides."""
+    return math.exp(-x) * exp_integral_en_scaled(n, x)
+
+
 class TestExpIntegralE1:
-    """E_1 is ``exp_integral_en(1, .)``."""
+    """E_1 is e^-x times ``exp_integral_en_scaled(1, .)``."""
 
     def test_value_at_one_matches_golden(self, golden):
-        assert exp_integral_en(1, 1.0) == pytest.approx(
-            golden["e1_at_1"]["value"], abs=1e-10)
+        assert _plain_en(1, 1.0) == pytest.approx(golden["e1_at_1"]["value"], abs=1e-10)
 
     def test_large_argument_asymptotic(self):
         # x e^x E_1(x) -> 1, so E_1(100) is close to e^-100/100
-        assert exp_integral_en(1, 100.0) == pytest.approx(
-            math.exp(-100.0) / 100.0, rel=0.015)
+        assert _plain_en(1, 100.0) == pytest.approx(math.exp(-100.0) / 100.0, rel=0.015)
 
     def test_strictly_decreasing(self):
-        assert exp_integral_en(1, 0.5) > exp_integral_en(1, 1.0) > exp_integral_en(1, 2.0)
+        assert _plain_en(1, 0.5) > _plain_en(1, 1.0) > _plain_en(1, 2.0)
 
     @pytest.mark.parametrize("x", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_bad_argument(self, x):
         with pytest.raises(DomainError):
-            exp_integral_en(1, x)
+            exp_integral_en_scaled(1, x)
 
 
 class TestExpIntegralEn:
-    def test_order_one_matches_e1(self):
-        # the order-1 series up to x = 1, e^-x times the scaled kernel above
-        for x in (0.05, 0.7, 1.0):
-            assert exp_integral_en(1, x) == numerics._e1_series(x)
-        for x in (1.5, 3.0, 50.0):
-            assert exp_integral_en(1, x) == math.exp(-x) * exp_integral_en_scaled(1, x)
+    def test_order_one_series_up_to_one(self):
+        # the order-1 kernel is the power series for E_1 up to x = 1
+        import mpmath
+
+        for x in (1e-300, 0.05, 0.7, 1.0):
+            assert exp_integral_en_scaled(1, x) == math.exp(x) * numerics._e1_series(x)
+            with mpmath.workdps(40):
+                assert numerics._e1_series(x) == pytest.approx(float(mpmath.e1(x)), rel=4e-15)
 
     def test_order_two_at_one_matches_golden(self, golden):
-        assert exp_integral_en(2, 1.0) == pytest.approx(
-            golden["e2_at_1"]["value"], abs=1e-9)
+        assert _plain_en(2, 1.0) == pytest.approx(golden["e2_at_1"]["value"], abs=1e-9)
 
     def test_decreasing_in_order(self):
         for x in (0.3, 1.0, 5.0):
-            values = [exp_integral_en(n, x) for n in range(1, 8)]
+            values = [_plain_en(n, x) for n in range(1, 8)]
             assert all(v > 0.0 for v in values)
             assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -94,17 +96,17 @@ class TestExpIntegralEn:
         # n E_{n+1}(x) + x E_n(x) = e^{-x}
         for x in (0.1, 1.0, 10.0):
             for n in range(1, 51):
-                lhs = n * exp_integral_en(n + 1, x) + x * exp_integral_en(n, x)
+                lhs = n * _plain_en(n + 1, x) + x * _plain_en(n, x)
                 assert abs(lhs - math.exp(-x)) <= 1e-12
 
     @pytest.mark.parametrize("n", [0, -1, 1.5, True])
     def test_rejects_bad_order(self, n):
         with pytest.raises(DomainError):
-            exp_integral_en(n, 1.0)
+            exp_integral_en_scaled(n, 1.0)
 
     def test_rejects_bad_argument(self):
         with pytest.raises(DomainError):
-            exp_integral_en(3, 0.0)
+            exp_integral_en_scaled(3, 0.0)
 
 
 def _load_anchor_tool():
@@ -116,9 +118,8 @@ def _load_anchor_tool():
 
 
 class TestOrderOneKernel:
-    """The order-1 kernel shared by exp_integral_en(1, .) and
-    exp_integral_en_scaled(1, .): series, anchored Taylor expansion and
-    continued fraction."""
+    """The order-1 kernel of exp_integral_en_scaled(1, .): series,
+    anchored Taylor expansion and continued fraction."""
 
     @staticmethod
     def _arguments() -> list[float]:
@@ -142,7 +143,7 @@ class TestOrderOneKernel:
                 scaled = exp_integral_en_scaled(1, x)
                 worst_scaled = max(worst_scaled, float(abs(scaled / ref_scaled - 1)))
                 if x <= 690.0:  # beyond, e^-x leaves the normal range
-                    plain = exp_integral_en(1, x)
+                    plain = _plain_en(1, x)
                     worst_plain = max(worst_plain, float(abs(plain / ref - 1)))
         assert worst_scaled <= 4e-15
         assert worst_plain <= 4e-15
@@ -167,63 +168,26 @@ class TestHigherOrdersUpToOne:
                 ref = mpmath.expint(n, x)
                 worst_scaled = max(worst_scaled, float(abs(
                     exp_integral_en_scaled(n, x) / (mpmath.exp(x) * ref) - 1)))
-                worst_plain = max(worst_plain, float(abs(exp_integral_en(n, x) / ref - 1)))
+                worst_plain = max(worst_plain, float(abs(_plain_en(n, x) / ref - 1)))
         assert worst_scaled <= 4e-15
         assert worst_plain <= 4e-15
 
 
 class TestExpIntegralEnScaled:
-    def test_matches_plain_value_at_moderate_argument(self):
-        for n in (1, 2, 5):
-            for x in (0.2, 1.0, 4.0):
-                assert exp_integral_en_scaled(n, x) == pytest.approx(
-                    math.exp(x) * exp_integral_en(n, x), rel=1e-12)
+    def test_matches_mpmath_at_moderate_argument(self):
+        import mpmath
+
+        with mpmath.workdps(40):
+            for n in (1, 2, 5):
+                for x in (0.2, 1.0, 4.0):
+                    expected = float(mpmath.exp(x) * mpmath.expint(n, x))
+                    assert exp_integral_en_scaled(n, x) == pytest.approx(expected, rel=1e-12)
 
     def test_survives_arguments_where_plain_value_underflows(self):
-        # e^x E_1(x) ~ 1/x (1 - 1/x + ...) stays representable at x = 1000
+        # e^x E_1(x) ~ 1/x (1 - 1/x + ...) stays representable at x = 1000,
+        # where E_1 itself, about e^-1000/1000, is below the smallest double
         scaled = exp_integral_en_scaled(1, 1000.0)
         assert scaled == pytest.approx(1.0 / 1000.0 * (1.0 - 1.0 / 1000.0), rel=1e-4)
-        assert exp_integral_en(1, 1000.0) == 0.0  # plain form underflows
-
-
-class TestRegLowerGamma:
-    def test_shape_one_is_exponential_cdf(self):
-        assert reg_lower_gamma(1, 1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-13)
-
-    def test_zero_argument(self):
-        assert reg_lower_gamma(2, 0.0) == 0.0
-
-    def test_saturates_to_one(self):
-        # exact complement: 1 - P(3,20) = e^-20 (1 + 20 + 200)
-        expected = 1.0 - math.exp(-20.0) * 221.0
-        assert reg_lower_gamma(3, 20.0) == pytest.approx(expected, rel=1e-13)
-        assert reg_lower_gamma(3, 20.0) == pytest.approx(1.0, abs=1e-6)
-        assert reg_lower_gamma(3, 80.0) == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("k, x, expected", [
-        # mpmath at 40 digits; e^(-x) alone underflows at x = 760 and is
-        # subnormal at x = 744
-        (700, 760.0, 0.98674176241397429),
-        (740, 744.0, 0.56317630964517403),
-        (1000, 1100.0, 0.99894067674607002),
-    ])
-    def test_large_arguments_match_mpmath(self, k, x, expected):
-        assert reg_lower_gamma(k, x) == pytest.approx(expected, rel=1e-11)
-
-    def test_monotone_in_argument(self):
-        for k in (1, 2, 6):
-            grid = [0.1 * i for i in range(1, 60)]
-            vals = [reg_lower_gamma(k, x) for x in grid]
-            assert all(a <= b for a, b in zip(vals, vals[1:]))
-            assert all(0.0 <= v <= 1.0 for v in vals)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(DomainError):
-            reg_lower_gamma(0, 1.0)
-        with pytest.raises(DomainError):
-            reg_lower_gamma(2, -0.5)
-        with pytest.raises(DomainError):
-            reg_lower_gamma(2, float("nan"))
 
 
 # ----------------------------------------------------------------------
