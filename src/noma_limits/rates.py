@@ -52,12 +52,11 @@ __all__ = [
     "MmseEfficiency",
     "SUPPORTED_SCHEMES",
     "sumf_rate_lds_fading",
-    "sumf_rate_lds_fading_unit_form",
     "sumf_rate_lds_nofading",
     "opt_se_lds_nofading",
     "opt_se_lds_fading",
-    "opt_se_lds_fading_alt",
     "opt_se_lds_fading_erlang",
+    "laplace_rate",
     "f_transform",
     "opt_se_ds_nofading",
     "mmse_se_ds_nofading",
@@ -236,47 +235,6 @@ def sumf_rate_lds_fading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE
     return RateValue(value, tol.abs + tol.rel * value)
 
 
-@_rate_route
-def sumf_rate_lds_fading_unit_form(point: ChannelPoint,
-                                   tol: Tolerance = DEFAULT_TOLERANCE) -> RateValue:
-    """Same rate as :func:`sumf_rate_lds_fading` through the change of
-    variable t = z/(1+z), which folds the half line onto [0, 1).
-
-    Kept as an independent route for cross-validation; the two forms
-    must agree to within their combined error estimates.  Loads above
-    3000 raise DomainError: the integrand lives on t = O(1/beta), which
-    the quadrature misses (it returns about 0 at 1e4).  So do SNRs above
-    1e8: the mass at 1 - t < 1/gamma cannot be resolved in t, and the
-    error against the series grows from 2.7e-11 at 1e8 to 1.9e-10 at
-    1e12 and to wrong values or NonConvergenceError from about 1e13.
-    """
-    beta, gamma = point.beta, point.gamma
-    if beta > 3000.0:
-        raise DomainError(f"beta = {beta!r} exceeds 3000, the largest load of the unit form")
-    if gamma > 1e8:
-        raise DomainError(f"gamma = {gamma!r} exceeds 1e8, the largest SNR of the unit form")
-
-    def integrand(t: float) -> float:
-        u = 1.0 - t
-        if u <= 0.0:
-            return 0.0
-        ex = -t * (beta + 1.0 / (u * gamma))
-        if ex < _EXP_FLOOR:
-            return 0.0
-        return math.exp(ex) / u
-
-    # at small SNR the integrand lives on t = O(gamma); cut the interval
-    # along that scale so no panel hides the whole peak between nodes
-    cuts = sorted({0.0, 1.0} | {c for c in (gamma, 40.0 * gamma) if c < 1.0})
-    value = err = 0.0
-    for a, b in zip(cuts, cuts[1:]):
-        q = integrate_interval(integrand, a, b, tol)
-        value += q.value
-        err += q.err_estimate
-    scale = beta / LN2
-    return RateValue(scale * value, scale * err)
-
-
 def _scaled_en_orders(z: float, first: int = 1) -> Iterator[float]:
     """e^z E_q(z) for q = first, first + 1, ...
 
@@ -348,30 +306,6 @@ def opt_se_lds_fading_erlang(point: ChannelPoint,
     return RateValue(value, tol.abs + tol.rel * value)
 
 
-@_rate_route
-def opt_se_lds_fading_alt(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> RateValue:
-    """The same optimum-decoding rate through its SNR-derivative form.
-
-    For each k the Erlang expectation is recovered by integrating its
-    derivative in the SNR from 0 to gamma; the derivative at SNR x is
-    k * e^(1/x) E_{k+1}(1/x) / x.  This shares no code path with the
-    mixture-of-logs route, which is the point: the two must agree.
-    """
-    beta, gamma = point.beta, point.gamma
-    inner_tol = Tolerance(rel=tol.rel, abs=min(tol.abs, 1e-13), max_evals=tol.max_evals)
-
-    def term(k: int) -> float:
-        def derivative_in_snr(x: float) -> float:
-            if x <= 0.0:
-                return 0.0
-            return k * exp_integral_en_scaled(k + 1, 1.0 / x) / x
-
-        return integrate_interval(derivative_in_snr, 0.0, gamma, inner_tol).value / LN2
-
-    value = poisson_weighted_sum(beta, term, _log_growth_bound(gamma), tol)
-    return RateValue(value, tol.abs + tol.rel * value)
-
-
 # ----------------------------------------------------------------------
 # Sparse spreading, no fading
 # ----------------------------------------------------------------------
@@ -401,6 +335,60 @@ def sumf_rate_lds_nofading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERAN
         _log_growth_bound(gamma), tol)
     value = beta * (solo + rest)
     return RateValue(value, tol.abs + tol.rel * value)
+
+
+# ----------------------------------------------------------------------
+# Sparse spreading: the Laplace-form cross-check
+# ----------------------------------------------------------------------
+
+def _laplace_integral(optimum: bool, fading: bool, point: ChannelPoint,
+                      tol: Tolerance) -> RateValue:
+    beta, gamma = point.beta, point.gamma
+    log_gamma = math.log(gamma)
+
+    def integrand(u: float) -> float:
+        # t = s gamma as one exponential: at huge gamma, s = e^u underflows
+        t = math.exp(u + log_gamma)
+        a = t / (1.0 + t) if fading else -math.expm1(-t)
+        decay = math.exp(-math.exp(u))
+        return decay * (-math.expm1(-beta * a) if optimum else math.exp(-beta * a) * a)
+
+    # cuts at each turn (s = 1, t = 1, beta t = 1) and 4 e-folds either
+    # side keep GK15 from accepting a wide flat panel across a turn; the
+    # integrand falls like e^u below the lowest turn and like e^-s above
+    # s = 1, so the ends leave 4e-18 and 2e-22 of it
+    turns = (0.0, -log_gamma, -log_gamma - math.log(beta))
+    lo, hi = min(turns) - 40.0, math.log(50.0)
+    cuts = sorted({lo, hi} | {c + d for c in turns for d in (-4.0, 0.0, 4.0) if lo < c + d < hi})
+    scale = (1.0 if optimum else beta) / LN2
+    panel_tol = Tolerance(rel=tol.rel, abs=tol.abs / (scale * (len(cuts) - 1)),
+                          max_evals=tol.max_evals)
+    panels = [integrate_interval(integrand, a, b, panel_tol) for a, b in zip(cuts, cuts[1:])]
+    return RateValue(scale * sum(q.value for q in panels),
+                     scale * sum(q.err_estimate for q in panels))
+
+
+def laplace_rate(scheme: SchemeSpec, point: ChannelPoint,
+                 tol: Tolerance = DEFAULT_TOLERANCE) -> RateValue:
+    """Rate of a sparse scheme from the Laplace transform of the power
+    in a dimension, with no Poisson sum: the cross-check of the series.
+
+    E ln(1 + Y) = integral over s > 0 of e^-s (1 - E e^(-sY)) / s.  The
+    power is a Poisson(beta) sum of user powers with transform
+    L(t) = 1/(1+t) under fading and e^-t without, so at t = s gamma its
+    transform is M = exp(-beta A), A = 1 - L.  In u = ln s the optimum
+    rate is 1/ln2 times the integral of e^-s (1 - M) du, and the matched
+    filter (E ln(1 + P/(1 + I)), a difference of two such integrals) is
+    beta/ln2 times that of e^-s M A du; without fading MMSE and zero
+    forcing coincide with it.  ``err_estimate`` is the quadrature's own.
+    Dense schemes raise UnsupportedSchemeError.
+    """
+    _formula(scheme)
+    if scheme.spreading is not Spreading.ONE_SPARSE:
+        raise UnsupportedSchemeError(f"no Laplace form for {scheme.name}; sparse schemes only")
+    return _rate_route(functools.partial(
+        _laplace_integral, scheme.detector is Detector.OPTIMUM,
+        scheme.fading is Fading.RAYLEIGH))(point, tol)
 
 
 # ----------------------------------------------------------------------

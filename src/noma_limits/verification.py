@@ -13,7 +13,9 @@ Every expected number is a closed form (the slopes come from
 written into the check, or an independent route to the same rate.  No
 criterion reads stored values.  A Monte Carlo check may compare at
 3 standard errors of its own estimate; every other tolerance is fixed
-in the check.
+in the check.  The tightest are criterion 4's: the series of every
+sparse scheme against its Laplace-form quadrature
+(``rates.laplace_rate``), to 1e-10 bits.
 """
 
 from __future__ import annotations
@@ -45,17 +47,16 @@ from .rates import (
     SchemeSpec,
     gamma_from_eta,
     high_snr_slope,
+    laplace_rate,
     low_snr_slope,
     mmse_efficiency_ds_fading,
     mmse_se_ds_nofading,
     opt_se_ds_nofading,
     opt_se_lds_fading,
-    opt_se_lds_fading_alt,
     opt_se_lds_fading_erlang,
     opt_se_lds_nofading,
     spectral_efficiency,
     sumf_rate_lds_fading,
-    sumf_rate_lds_fading_unit_form,
     sumf_rate_lds_nofading,
 )
 
@@ -227,32 +228,38 @@ _GRID_GAMMAS = (0.1, 1.0, 10.0, 100.0)
 
 
 def _check_representations(seed: int) -> list[CheckResult]:
-    """Two independent routes to the sparse-fading optimum rate (Erlang
-    density and SNR derivative, both by quadrature) agree to 1e-8 bits on
-    the 16-point grid, the production series agrees with the Erlang route
-    to 1e-10, and the matched-filter Poisson series agrees with its
-    unit-interval integral to 1e-10."""
+    """Every sparse production series agrees with the Laplace form of
+    its rate (``rates.laplace_rate``: one integral, no Poisson sum) to
+    1e-10 bits on the 16-point grid: opt-series for lds-opt-fading,
+    sumf-forms for lds-sumf-fading, opt-nofading for lds-opt-nofading
+    and sumf-nofading for lds-sumf-nofading, whose series MMSE and zero
+    forcing share.  The Laplace form of the optimum rate with fading
+    agrees with its Erlang-density quadrature to 1e-8 bits (opt-routes),
+    so two quadratures of different integrands back the series."""
     del seed
-    out = []
+    grid = [ChannelPoint(beta, gamma) for beta in _GRID_BETAS for gamma in _GRID_GAMMAS]
     tol_mix = Tolerance(rel=1e-11, abs=1e-12, max_evals=500_000)
-    for beta in _GRID_BETAS:
-        for gamma in _GRID_GAMMAS:
-            point = ChannelPoint(beta, gamma)
-            direct = opt_se_lds_fading_erlang(point, tol_mix).bits_per_dim
-            alt = opt_se_lds_fading_alt(point, tol_mix).bits_per_dim
-            out.append(CheckResult.compare(
-                f"opt-routes.beta{beta:g}.gamma{gamma:g}", direct, alt, 1e-8))
-            out.append(CheckResult.compare(
-                f"opt-series.beta{beta:g}.gamma{gamma:g}", direct,
-                opt_se_lds_fading(point).bits_per_dim, 1e-10))
     tol_tight = Tolerance(rel=1e-12, abs=1e-14, max_evals=500_000)
-    for beta in _GRID_BETAS:
-        for gamma in _GRID_GAMMAS:
-            point = ChannelPoint(beta, gamma)
-            series = sumf_rate_lds_fading(point, tol_tight).bits_per_dim
-            unit = sumf_rate_lds_fading_unit_form(point, tol_tight).bits_per_dim
+    out = []
+    opt_fading = SchemeSpec.parse("lds-opt-fading")
+    for point in grid:
+        label = f"beta{point.beta:g}.gamma{point.gamma:g}"
+        laplace = laplace_rate(opt_fading, point, tol_tight).bits_per_dim
+        out.append(CheckResult.compare(
+            f"opt-routes.{label}", opt_se_lds_fading_erlang(point, tol_mix).bits_per_dim,
+            laplace, 1e-8))
+        out.append(CheckResult.compare(
+            f"opt-series.{label}", laplace, opt_se_lds_fading(point, tol_tight).bits_per_dim,
+            1e-10))
+    for prefix, name, series in (("sumf-forms", "lds-sumf-fading", sumf_rate_lds_fading),
+                                 ("opt-nofading", "lds-opt-nofading", opt_se_lds_nofading),
+                                 ("sumf-nofading", "lds-sumf-nofading", sumf_rate_lds_nofading)):
+        scheme = SchemeSpec.parse(name)
+        for point in grid:
             out.append(CheckResult.compare(
-                f"sumf-forms.beta{beta:g}.gamma{gamma:g}", series, unit, 1e-10))
+                f"{prefix}.beta{point.beta:g}.gamma{point.gamma:g}",
+                laplace_rate(scheme, point, tol_tight).bits_per_dim,
+                series(point, tol_tight).bits_per_dim, 1e-10))
     return out
 
 

@@ -91,3 +91,26 @@ def test_hand_anchors_fail_a_route_1e_12_off(monkeypatch, route, check):
     monkeypatch.setattr(verification, route, scaled)
     failed = [c.name for c in run_criterion(_criterion("hand-anchors")) if not c.passed]
     assert failed == [check]
+
+
+@pytest.mark.parametrize("route", [
+    "opt_se_lds_fading", "sumf_rate_lds_fading", "opt_se_lds_nofading", "sumf_rate_lds_nofading",
+    "laplace_rate"])
+def test_representations_fail_a_route_1e_9_off(monkeypatch, route):
+    real = getattr(verification, route)
+
+    def scaled(*args):
+        value = real(*args)
+        return dataclasses.replace(value, bits_per_dim=(1.0 + 1e-9) * value.bits_per_dim)
+
+    monkeypatch.setattr(verification, route, scaled)
+    assert not all(c.passed for c in run_criterion(_criterion("representations")))
+
+
+def test_representations_grid_names_the_latency_probe_reads():
+    # the benchmark picks verify-full's 160 latency points from these
+    # names, so a renamed or regridded check would move its point_p50_us
+    names = [c.name for c in run_criterion(_criterion("representations"))
+             if c.name.startswith("04.opt-routes.")]
+    assert names == [f"04.opt-routes.beta{b:g}.gamma{g:g}"
+                     for b in (0.5, 1.0, 2.0, 4.0) for g in (0.1, 1.0, 10.0, 100.0)]

@@ -1,5 +1,6 @@
 """Closed-form rate formulas, asymptotic anchors, and conversions."""
 
+import functools
 import itertools
 import math
 import time
@@ -32,6 +33,7 @@ from noma_limits.rates import (
     f_transform,
     gamma_from_eta,
     high_snr_slope,
+    laplace_rate,
     low_snr_slope,
     mmse_efficiency_ds_fading,
     mmse_se_ds_fading,
@@ -39,27 +41,25 @@ from noma_limits.rates import (
     opt_se_ds_fading,
     opt_se_ds_nofading,
     opt_se_lds_fading,
-    opt_se_lds_fading_alt,
     opt_se_lds_fading_erlang,
     opt_se_lds_nofading,
     spectral_efficiency,
     sumf_rate_lds_fading,
-    sumf_rate_lds_fading_unit_form,
     sumf_rate_lds_nofading,
 )
 
 ALL_SCHEMES = [SchemeSpec.parse(name) for name in SUPPORTED_SCHEMES]
-# every public rate route: the production route of each scheme and the
-# three cross-checks
-ALL_ROUTES = [
-    sumf_rate_lds_fading, sumf_rate_lds_fading_unit_form, sumf_rate_lds_nofading,
-    opt_se_lds_nofading, opt_se_lds_fading, opt_se_lds_fading_alt, opt_se_lds_fading_erlang,
+SPARSE_SCHEMES = [s for s in ALL_SCHEMES if s.spreading is Spreading.ONE_SPARSE]
+# every public rate route: the production route of each scheme, the
+# Erlang cross-check and the Laplace form of each sparse scheme
+ALL_ROUTES = [pytest.param(route, id=route.__name__) for route in (
+    sumf_rate_lds_fading, sumf_rate_lds_nofading,
+    opt_se_lds_nofading, opt_se_lds_fading, opt_se_lds_fading_erlang,
     opt_se_ds_nofading, mmse_se_ds_nofading, mmse_se_ds_fading, opt_se_ds_fading,
-]
+)] + [pytest.param(functools.partial(laplace_rate, scheme), id=f"laplace-{scheme.name}")
+      for scheme in SPARSE_SCHEMES]
 # the largest load of each quadrature cross-check that has its own bound
-QUADRATURE_LOADS = {opt_se_lds_fading_erlang: 30.0, sumf_rate_lds_fading_unit_form: 3000.0}
-# and the largest SNR, for the one that has an SNR bound of its own
-QUADRATURE_SNRS = {sumf_rate_lds_fading_unit_form: 1e8}
+QUADRATURE_LOADS = {opt_se_lds_fading_erlang: 30.0}
 
 
 def single_user_rayleigh_capacity(gamma: float) -> float:
@@ -198,49 +198,82 @@ class TestRepresentations:
             quad = opt_se_lds_fading_erlang(point, tol).bits_per_dim
             assert abs(closed - quad) <= 1e-10, (beta, gamma, closed, quad)
 
-    def test_derivative_route_matches_mixture_route(self):
+    def test_laplace_route_matches_mixture_route(self):
         tol = Tolerance(rel=1e-11, abs=1e-12, max_evals=500_000)
+        scheme = SchemeSpec.parse("lds-opt-fading")
         for beta, gamma in ((1.0, 1.0), (2.0, 100.0)):
             point = ChannelPoint(beta, gamma)
             a = opt_se_lds_fading(point, tol).bits_per_dim
-            b = opt_se_lds_fading_alt(point, tol).bits_per_dim
+            b = laplace_rate(scheme, point, tol).bits_per_dim
             assert abs(a - b) <= 1e-8
 
     def test_matched_filter_forms_agree(self):
         tol = Tolerance(rel=1e-12, abs=1e-14, max_evals=500_000)
+        scheme = SchemeSpec.parse("lds-sumf-fading")
         for beta, gamma in ((0.5, 0.1), (1.0, 10.0), (4.0, 100.0)):
             point = ChannelPoint(beta, gamma)
             a = sumf_rate_lds_fading(point, tol).bits_per_dim
-            b = sumf_rate_lds_fading_unit_form(point, tol).bits_per_dim
+            b = laplace_rate(scheme, point, tol).bits_per_dim
             assert abs(a - b) <= 1e-10
 
-    @pytest.mark.parametrize("route, series, rel", [
-        (opt_se_lds_fading_erlang, opt_se_lds_fading, 1e-13),
-        (sumf_rate_lds_fading_unit_form, sumf_rate_lds_fading, 1e-11),
-    ], ids=["erlang", "unit-form"])
-    def test_cross_check_refuses_loads_its_quadrature_misses(self, route, series, rel):
-        # above its bound the quadrature misses the peak of its integrand
-        # (40% off for the Erlang route at beta = 100, about 0 for the unit
-        # form at 1e4); at the bound it agrees with the series to rel,
-        # above the default absolute floor of 1e-12.  Above 1e8 the unit
-        # form cannot resolve 1 - t < 1/gamma (NonConvergenceError at
-        # beta = 1, gamma = 1e13; 20% off at beta = 10, gamma = 1e300)
-        bound = QUADRATURE_LOADS[route]
+    @pytest.mark.parametrize("name", [
+        "lds-opt-fading", "lds-opt-nofading", "lds-sumf-fading", "lds-sumf-nofading"])
+    def test_laplace_route_matches_mpmath(self, name):
+        # the same integral in u = ln s at 20 digits, broken at each turn
+        # of the integrand (s = 1, t = 1 and beta t = 1, t = s gamma) and
+        # 4 e-folds either side of it.  It runs from 60 e-folds below the
+        # lowest turn, where the integrand has fallen like e^u, to u = 6,
+        # where e^-s is e^-403: wider than the route's range, so its cut
+        # ends are checked too.  (An infinite end costs mpmath minutes.)
+        import mpmath
+
+        scheme = SchemeSpec.parse(name)
+        optimum, fading = scheme.detector is Detector.OPTIMUM, scheme.fading is Fading.RAYLEIGH
+        tol = Tolerance(rel=1e-13, abs=0.0)
+        with mpmath.workdps(20):
+            for beta, gamma in itertools.product((1e-6, 1.0, 1e3, 1e4), (1e-3, 1.0, 1e8, 1e300)):
+                b, lg = mpmath.mpf(beta), mpmath.log(gamma)
+
+                def integrand(u):
+                    t = mpmath.exp(u + lg)
+                    a = t / (1 + t) if fading else -mpmath.expm1(-t)
+                    inner = -mpmath.expm1(-b * a) if optimum else mpmath.exp(-b * a) * a
+                    return mpmath.exp(-mpmath.exp(u)) * inner
+
+                turns = (mpmath.mpf(0), -lg, -lg - mpmath.log(b))
+                breaks = sorted({c + d for c in turns for d in (-4, 0, 4)})
+                integral = mpmath.quad(integrand, [min(turns) - 60, *breaks, 6])
+                expected = float((1 if optimum else b) * integral / mpmath.log(2))
+                rate = laplace_rate(scheme, ChannelPoint(beta, gamma), tol)
+                error = abs(rate.bits_per_dim - expected)
+                assert error <= 1e-12 * expected, (beta, gamma, rate, expected)
+                # the estimate is the panels' own, which covers the error
+                # up to rounding, not the tolerance restated
+                assert error <= rate.err_estimate + 4 * math.ulp(expected), (beta, gamma)
+                assert rate.err_estimate <= tol.rel * rate.bits_per_dim, (beta, gamma)
+
+    def test_laplace_route_covers_the_sparse_schemes_only(self):
+        point = ChannelPoint(2.0, 10.0)
+        matched_filter = laplace_rate(SchemeSpec.parse("lds-sumf-nofading"), point)
+        for name in ("lds-mmse-nofading", "lds-zf-nofading"):
+            assert laplace_rate(SchemeSpec.parse(name), point) == matched_filter
+        for scheme in ALL_SCHEMES:
+            if scheme.spreading is Spreading.DENSE:
+                with pytest.raises(UnsupportedSchemeError, match="no Laplace form"):
+                    laplace_rate(scheme, point)
+
+    def test_cross_check_refuses_loads_its_quadrature_misses(self):
+        # above 30 the Erlang route misses the peak of its integrand (40%
+        # off at beta = 100); at 30 it agrees with the series to 1e-13,
+        # above the default absolute floor of 1e-12
+        route, bound = opt_se_lds_fading_erlang, QUADRATURE_LOADS[opt_se_lds_fading_erlang]
         for beta in (math.nextafter(bound, math.inf), 3.0 * bound, 1e4):
             with pytest.raises(DomainError, match=f"exceeds {bound:g}"):
                 route(ChannelPoint(beta, 10.0))
-        snr_bound = QUADRATURE_SNRS.get(route, math.inf)
-        if snr_bound < math.inf:
-            above = (math.nextafter(snr_bound, math.inf), 1e13, 1e300)
-            for beta, gamma in itertools.product((1.0, 10.0, bound), above):
-                with pytest.raises(DomainError, match="the largest SNR of the unit form"):
-                    route(ChannelPoint(beta, gamma))
         for gamma in (1e-12, 1e-3, 1.0, 1e3, 1e8, 1e100):
-            if gamma > snr_bound:
-                continue
             point = ChannelPoint(bound, gamma)
-            expected = series(point).bits_per_dim
-            assert abs(route(point).bits_per_dim - expected) <= rel * expected + 1e-12, gamma
+            expected = opt_se_lds_fading(point).bits_per_dim
+            assert abs(route(point).bits_per_dim - expected) <= 1e-13 * expected + 1e-12, gamma
 
     @pytest.mark.parametrize("z", [1e-12, 1e-3, 0.5, 1.0, 3.0, 300.0, 1e4])
     def test_recurrence_built_orders_match_direct_evaluation(self, z):
@@ -325,7 +358,7 @@ class TestStatedDomain:
         rate = spectral_efficiency(scheme, ChannelPoint(1e4, 10.0)).bits_per_dim
         assert math.isfinite(rate) and rate > 0.0
 
-    @pytest.mark.parametrize("route", ALL_ROUTES, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("route", ALL_ROUTES)
     def test_every_route_enforces_the_domain_when_called_directly(self, route):
         for beta, gamma in itertools.product((1.0, 1e4), (1e-310, 5e-324)):
             rate = route(ChannelPoint(beta, gamma))
@@ -334,9 +367,9 @@ class TestStatedDomain:
             route(ChannelPoint(1.0001e4, 1.0))
         with pytest.raises(DomainError, match="largest supported SNR"):
             route(ChannelPoint(1.0, 1e304))
-        # two quadrature cross-checks stop at a lower load of their own:
-        # just above it they refuse, and at it they give a finite value or
-        # a typed error
+        # the Erlang cross-check stops at a lower load of its own: just
+        # above it it refuses, and at it it gives a finite value or a
+        # typed error
         if route in QUADRATURE_LOADS:
             bound = QUADRATURE_LOADS[route]
             with pytest.raises(DomainError, match=f"exceeds {bound:g}"):
@@ -346,12 +379,7 @@ class TestStatedDomain:
             except NomaLimitsError:
                 pass
             return
-        # the derivative route runs minutes of quadrature at the corner,
-        # so it meets each edge of the domain at a cheap point instead
-        corners = ([(1e4, 1e-15), (1e-6, 1e303)] if route is opt_se_lds_fading_alt
-                   else [(1e4, 1e303)])
-        for beta, gamma in corners:
-            assert math.isfinite(route(ChannelPoint(beta, gamma)).bits_per_dim)
+        assert math.isfinite(route(ChannelPoint(1e4, 1e303)).bits_per_dim)
 
     @settings(max_examples=800, deadline=None, derandomize=True)
     @given(name=st.sampled_from(SUPPORTED_SCHEMES), log_beta=st.floats(-6.0, 4.0),
