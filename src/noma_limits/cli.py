@@ -85,6 +85,10 @@ class SweepSpec:
             raise DomainError(f"n_points must be between 2 and {_MAX_POINTS}, got {self.n_points}")
         if not self.schemes:
             raise DomainError("at least one scheme is required")
+        if not math.isfinite(self.fixed_value):
+            raise DomainError(f"the fixed value must be finite, got {self.fixed_value!r}")
+        if self.x_axis == "ebn0-db" and self.fixed_value <= 0.0:
+            raise DomainError(f"the fixed load must be positive, got {self.fixed_value!r}")
 
     def grid(self) -> list[float]:
         n = self.n_points

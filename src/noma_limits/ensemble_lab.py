@@ -50,8 +50,8 @@ __all__ = [
 _BLOCK = 1_000_000
 _MAX_ENTRIES = 1 << 24  # largest dense spreading matrix, about 128 MB of float64
 _MAX_USERS = 1 << 31  # the count law spans about 37 sqrt(K) counts at N = 2
-# largest system draw_system builds: 24 bytes per user (position, power,
-# and the shifted positions gram_diagonal bins), about 400 MB at the limit
+# largest system draw_system builds: 16 bytes per user (position, power)
+# and 8 per dimension for the sums gram_diagonal bins, about 400 MB at the limit
 _MAX_DRAW = 1 << 24
 # largest sample and trial counts of the estimators: a count beyond any
 # machine's reach fails at once instead of looping over blocks; both stay
@@ -124,7 +124,7 @@ class SystemDraw:
 
     n_dims: int
     n_users: int
-    positions: np.ndarray   # 1-based dimension index per user, in [1, n_dims]
+    positions: np.ndarray   # 0-based dimension index per user, in [0, n_dims)
     fade_powers: np.ndarray  # Exp(1) per user
     seed: int
 
@@ -165,7 +165,7 @@ def draw_system(n_dims: int, n_users: int, seed: int) -> SystemDraw:
     n_dims = _check_size("n_dims", n_dims, _MAX_DRAW)
     n_users = _check_size("n_users", n_users, _MAX_DRAW)
     rng = _generator(seed, _STREAM_SYSTEM)
-    positions = rng.integers(1, n_dims + 1, size=n_users)
+    positions = rng.integers(0, n_dims, size=n_users)
     fade_powers = rng.standard_exponential(n_users)
     return SystemDraw(n_dims=n_dims, n_users=n_users, positions=positions,
                       fade_powers=fade_powers, seed=int(seed))
@@ -179,7 +179,7 @@ def gram_diagonal(draw: SystemDraw) -> GramDiagonal:
     identically (each product contains a structurally zero factor), so
     these sums are exactly its eigenvalues, whatever the chip signs.
     """
-    values = np.bincount(draw.positions - 1, weights=draw.fade_powers,
+    values = np.bincount(draw.positions, weights=draw.fade_powers,
                          minlength=draw.n_dims)
     return GramDiagonal(values=values)
 

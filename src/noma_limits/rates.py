@@ -178,9 +178,9 @@ def _rate_route(formula: _Formula) -> _Formula:
     """A public rate route: loads above 1e4 and SNRs above 1e303 raise
     DomainError, and tiny SNRs get the first-order rate.  Every rate is
     beta gamma/ln2 * (1 - (beta/S0) gamma + O(gamma^2)), S0 its wideband
-    slope, and beta/S0 <= 1 + 2 beta for every scheme; below the test
-    that term is the rate to double precision, and 1/gamma, which some
-    formulas form, can overflow."""
+    slope, and beta/S0 <= 1 + beta for every scheme (:func:`low_snr_slope`);
+    below the test that term is the rate to double precision, and
+    1/gamma, which some formulas form, can overflow."""
     @functools.wraps(formula)
     def route(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> RateValue:
         beta, gamma = point.beta, point.gamma
@@ -228,8 +228,7 @@ def sumf_rate_lds_fading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE
         return next(orders)
 
     # the terms are at most 1; the sum is scaled by beta/ln2 afterwards
-    inner_tol = Tolerance(rel=tol.rel, abs=min(1.0, tol.abs * LN2 / beta),
-                          max_evals=tol.max_evals)
+    inner_tol = Tolerance(rel=tol.rel, abs=min(1.0, tol.abs * LN2 / beta))
     collided = poisson_weighted_sum(beta, term, 1.0, inner_tol)
     value = beta / LN2 * (math.exp(-beta) * exp_integral_en_scaled(1, x) + collided)
     return RateValue(value, tol.abs + tol.rel * value)
@@ -287,7 +286,7 @@ def opt_se_lds_fading_erlang(point: ChannelPoint,
     beta, gamma = point.beta, point.gamma
     if beta > 30.0:
         raise DomainError(f"beta = {beta!r} exceeds 30, the largest load of the Erlang route")
-    inner_tol = Tolerance(rel=tol.rel, abs=min(tol.abs, 1e-13), max_evals=tol.max_evals)
+    inner_tol = Tolerance(rel=tol.rel, abs=min(tol.abs, 1e-13))
 
     def term(k: int) -> float:
         lg = math.lgamma(k)
@@ -361,11 +360,8 @@ def _laplace_integral(optimum: bool, fading: bool, point: ChannelPoint,
     lo, hi = min(turns) - 40.0, math.log(50.0)
     cuts = sorted({lo, hi} | {c + d for c in turns for d in (-4.0, 0.0, 4.0) if lo < c + d < hi})
     scale = (1.0 if optimum else beta) / LN2
-    panel_tol = Tolerance(rel=tol.rel, abs=tol.abs / (scale * (len(cuts) - 1)),
-                          max_evals=tol.max_evals)
-    panels = [integrate_interval(integrand, a, b, panel_tol) for a, b in zip(cuts, cuts[1:])]
-    return RateValue(scale * sum(q.value for q in panels),
-                     scale * sum(q.err_estimate for q in panels))
+    q = integrate_interval(integrand, cuts, Tolerance(rel=tol.rel, abs=tol.abs / scale))
+    return RateValue(scale * q.value, scale * q.err_estimate)
 
 
 def laplace_rate(scheme: SchemeSpec, point: ChannelPoint,
@@ -487,7 +483,7 @@ def mmse_efficiency_ds_fading(point: ChannelPoint,
     b, the root lies within rounding of that end (as at x = 1 once
     beta * gamma is below the rounding error of beta - 1, or at
     x = 1 - beta once gamma is huge), and the end is returned.
-    FixedPointError is raised when a residual is not a number.
+    FixedPointError is raised when a residual is not a number; ``tol`` is not read.
     """
     beta, gamma = point.beta, point.gamma
     if gamma == 0.0:
@@ -504,7 +500,7 @@ def mmse_efficiency_ds_fading(point: ChannelPoint,
 
     # the width test alone decides: an absolute residual floor would
     # accept x ~ 1e-12 where the root is x ~ 1e-49
-    root_tol = Tolerance(rel=1e-14, abs=0.0, max_evals=tol.max_evals)
+    root_tol = Tolerance(rel=1e-14, abs=0.0)
     a, b = _efficiency_bracket(beta, gamma)
     r_a = residual_fn(a)
     if r_a >= 0.0:
@@ -594,14 +590,18 @@ def eta_min(scheme: SchemeSpec) -> float:
 
 
 def low_snr_slope(scheme: SchemeSpec, beta: float) -> float:
-    """Wideband slope in bit/s/Hz per 3 dB at eta_min, where known."""
+    """Wideband slope S0 = 2 C'(0)^2 / -C''(0) in bit/s/Hz per 3 dB at
+    eta_min, C the rate in nats (Verdu, IEEE T-IT 48(6), 2002).  With m2
+    = E Z^2 of a unit-mean received power Z (1, or 2 under fading), a
+    linear detector's SINR is gamma Z (1 - beta gamma) + ..., so
+    S0 = 2 beta/(2 beta + m2); optimum decoding averages ln(1 + gamma x)
+    over a spectrum of second moment beta m2 + beta^2 (Shamai & Verdu,
+    IEEE T-IT 47(4), 2001), so S0 = 2 beta/(beta + m2)."""
     ChannelPoint(beta, 0.0)  # domain check on beta
     _formula(scheme)
-    if scheme.name == "lds-sumf-fading":
-        return beta / (1.0 + beta)
-    if scheme.name == "lds-opt-fading":
-        return 2.0 * beta / (beta + 2.0)
-    raise UnsupportedSchemeError(f"no wideband slope closed form for {scheme.name}")
+    m2 = 2.0 if scheme.fading is Fading.RAYLEIGH else 1.0
+    load_weight = 1.0 if scheme.detector is Detector.OPTIMUM else 2.0
+    return 2.0 * beta / (load_weight * beta + m2)
 
 
 def high_snr_slope(scheme: SchemeSpec, beta: float) -> float:
@@ -681,8 +681,7 @@ def gamma_from_eta(scheme: SchemeSpec, beta: float, eta: float,
         # O(gamma) near zero, and a fixed absolute floor would bury the
         # excess of eta over ln 2 in series truncation error for eta near
         # the floor
-        point_tol = Tolerance(rel=tol.rel, abs=tol.abs * min(1.0, g),
-                              max_evals=tol.max_evals)
+        point_tol = Tolerance(rel=tol.rel, abs=tol.abs * min(1.0, g))
         return eta_from_gamma(scheme, beta, g, point_tol) - eta
 
     decade = math.log(10.0)
@@ -717,7 +716,7 @@ def gamma_from_eta(scheme: SchemeSpec, beta: float, eta: float,
             f = offset(t_lo)
     # the residual floor scales with eta - ln 2: just above the minimum a
     # floor fixed in eta would pass any gamma in a band of about 10%
-    root_tol = Tolerance(rel=1e-11, abs=1e-10 * (eta - LN2), max_evals=tol.max_evals)
+    root_tol = Tolerance(rel=1e-11, abs=1e-10 * (eta - LN2))
     t = find_root_bracketed(offset, t_lo, t_hi, root_tol)
     # Brent stops once |offset| <= abs or the bracket is narrower than
     # rel |t|; as d ln(eta)/d ln(gamma) lies in [0, 1], the latter

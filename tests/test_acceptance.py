@@ -10,7 +10,7 @@ import dataclasses
 
 import pytest
 
-from noma_limits import ensemble_lab, verification
+from noma_limits import ensemble_lab, numerics, rates, verification
 from noma_limits.ensemble_lab import McEstimate
 from noma_limits.verification import _MAX_SEED, CRITERIA, DEFAULT_SEED, run_criterion
 
@@ -114,3 +114,35 @@ def test_representations_grid_names_the_latency_probe_reads():
              if c.name.startswith("04.opt-routes.")]
     assert names == [f"04.opt-routes.beta{b:g}.gamma{g:g}"
                      for b in (0.5, 1.0, 2.0, 4.0) for g in (0.1, 1.0, 10.0, 100.0)]
+
+
+def test_evaluation_budgets_never_bind(monkeypatch):
+    # the fixed budgets in numerics are a backstop, not an accuracy knob:
+    # the fast suite's largest quadrature and Brent calls stay below 1%
+    # of them
+    quad_evals, root_evals = [], []
+    real_adaptive, real_root = numerics._adaptive, rates.find_root_bracketed
+
+    def counted_adaptive(pieces, tol):
+        result = real_adaptive(pieces, tol)
+        quad_evals.append(result.evals)
+        return result
+
+    def counted_root(g, *args):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return g(x)
+
+        try:
+            return real_root(counted, *args)
+        finally:
+            root_evals.append(len(calls))
+
+    monkeypatch.setattr(numerics, "_adaptive", counted_adaptive)
+    monkeypatch.setattr(rates, "find_root_bracketed", counted_root)
+    assert verification.run_suite("fast").overall
+    assert quad_evals and root_evals
+    assert max(quad_evals) < 0.01 * numerics._QUAD_MAX_EVALS
+    assert max(root_evals) < 0.01 * numerics._ROOT_MAX_EVALS

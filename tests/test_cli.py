@@ -136,6 +136,11 @@ class TestSweepSpec:
         dict(x_min=1e-300, x_max=1e300, spacing="log"),
         dict(x_min=-1e308, x_max=1e308),
         dict(n_points=10_001),
+        dict(fixed_value=float("nan")),
+        dict(fixed_value=float("inf")),
+        dict(fixed_value=-float("inf")),
+        dict(x_axis="ebn0-db", fixed_value=0.0),
+        dict(x_axis="ebn0-db", fixed_value=-1.0),
     ])
     def test_rejections(self, kwargs):
         base = dict(x_axis="load", x_min=0.5, x_max=4.0, n_points=5,
@@ -405,6 +410,21 @@ class TestCurveCommand:
         assert code == 0
         assert out.splitlines() == [CSV_HEADER] + rows
         assert err.count("dB is out of range") == sum(row.endswith(",") for row in rows)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--beta", "nan"), "the fixed value must be finite"),
+        (("--beta", "inf"), "the fixed value must be finite"),
+        (("--beta", "0"), "the fixed load must be positive"),
+        (("--beta", "-1"), "the fixed load must be positive"),
+        (("--eta-db", "nan"), "the fixed value must be finite"),
+        (("--eta-db", "inf"), "the fixed value must be finite"),
+    ])
+    def test_unusable_fixed_value_is_a_domain_error(self, capsys, argv, message):
+        # refused before the sweep, not printed as a CSV of empty rows
+        code, out, err = run_cli(capsys, "curve", "--scheme", "ds-mmse", *argv,
+                                 "--range", "1", "2", "--points", "2")
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"curve: {message}, got {float(argv[1])!r}"]
 
     def test_grid_size_is_bounded(self, capsys):
         # rejected before any grid is built

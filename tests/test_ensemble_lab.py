@@ -13,6 +13,7 @@ from noma_limits.ensemble_lab import (
     _STREAM_DS,
     _STREAM_INDEP,
     _STREAM_SUMF,
+    _STREAM_SYSTEM,
     GramDiagonal,
     _count_law,
     _generator,
@@ -60,12 +61,19 @@ class TestDrawSystem:
 
     def test_single_dimension_forces_all_positions(self):
         draw = draw_system(1, 3, 7)
-        assert list(draw.positions) == [1, 1, 1]
+        assert list(draw.positions) == [0, 0, 0]
 
     def test_field_ranges(self):
         draw = draw_system(40, 500, 99)
-        assert draw.positions.min() >= 1 and draw.positions.max() <= 40
+        assert draw.positions.min() >= 0 and draw.positions.max() <= 39
         assert draw.fade_powers.min() >= 0.0
+
+    def test_positions_are_the_one_based_draw_shifted(self):
+        # zero-based positions are the same draw as integers(1, n + 1) - 1
+        for n_dims, n_users in ((7, 3), (1, 5), (1000, 2000)):
+            draw = draw_system(n_dims, n_users, 17)
+            old = _generator(17, _STREAM_SYSTEM).integers(1, n_dims + 1, size=n_users) - 1
+            assert np.array_equal(draw.positions, old)
 
     def test_fade_power_mean_is_one(self):
         draw = draw_system(10, 1_000_000, 2026)
@@ -75,7 +83,7 @@ class TestDrawSystem:
         # N = K = 1000; expected count 1 per dimension; 99%-level
         # critical value frozen from the statistics oracle
         draw = draw_system(1000, 1000, 4242)
-        counts = np.bincount(draw.positions - 1, minlength=1000)
+        counts = np.bincount(draw.positions, minlength=1000)
         statistic = float(np.sum((counts - 1.0) ** 2))
         assert statistic < golden["chi2_ppf_99_dof999"]["value"]
 
@@ -99,7 +107,7 @@ class TestDrawSystem:
 
     def test_validates_field_lengths(self):
         with pytest.raises(DomainError):
-            SystemDraw(n_dims=4, n_users=3, positions=np.array([1, 2]),
+            SystemDraw(n_dims=4, n_users=3, positions=np.array([0, 1]),
                        fade_powers=np.ones(3), seed=0)
 
 
@@ -109,9 +117,21 @@ class TestDrawSystem:
 
 class TestGramDiagonal:
     def test_single_user_places_its_power(self):
-        draw = SystemDraw(n_dims=4, n_users=1, positions=np.array([3]),
+        draw = SystemDraw(n_dims=4, n_users=1, positions=np.array([2]),
                           fade_powers=np.array([2.5]), seed=0)
         assert list(gram_diagonal(draw).values) == [0.0, 0.0, 2.5, 0.0]
+
+    def test_bins_the_positions_without_a_copy(self):
+        # zero-based positions go to bincount as drawn: the peak is the
+        # per-dimension sums, not a shifted copy of 8 bytes per user
+        draw = draw_system(1000, 1_000_000, 3)
+        tracemalloc.start()
+        try:
+            gram_diagonal(draw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_mass_conservation(self):
         for seed in (1, 2, 3):
@@ -129,7 +149,7 @@ class TestGramDiagonal:
             n_dims, n_users = 8, 16
             draw = draw_system(n_dims, n_users, 1000 + seed)
             s = np.zeros((n_dims, n_users))
-            s[draw.positions - 1, np.arange(n_users)] = rng.choice([-1.0, 1.0], size=n_users)
+            s[draw.positions, np.arange(n_users)] = rng.choice([-1.0, 1.0], size=n_users)
             m = s @ np.diag(draw.fade_powers) @ s.T
             off_diag = m - np.diag(np.diagonal(m))
             assert np.all(off_diag == 0.0)

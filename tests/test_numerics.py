@@ -1,5 +1,6 @@
 """Scalar substrate: special functions, quadrature, series, root finding."""
 
+import dataclasses
 import importlib.util
 import math
 import random
@@ -28,7 +29,12 @@ class TestTolerance:
     def test_defaults(self):
         assert DEFAULT_TOLERANCE.rel == 1e-10
         assert DEFAULT_TOLERANCE.abs == 1e-12
-        assert DEFAULT_TOLERANCE.max_evals == 200_000
+
+    def test_holds_accuracy_only(self):
+        # evaluation budgets belong to the routines, not to the request
+        assert [f.name for f in dataclasses.fields(Tolerance)] == ["rel", "abs"]
+        assert numerics._QUAD_MAX_EVALS == 200_000
+        assert numerics._ROOT_MAX_EVALS == 200_000
 
     def test_target_combines_rel_and_abs(self):
         tol = Tolerance(rel=1e-3, abs=1e-6)
@@ -38,7 +44,6 @@ class TestTolerance:
     @pytest.mark.parametrize("kwargs", [
         {"rel": 0.0}, {"rel": -1e-3}, {"rel": float("nan")}, {"rel": float("inf")},
         {"abs": -1e-6}, {"abs": float("nan")},
-        {"max_evals": 15}, {"max_evals": 2.5}, {"max_evals": True},
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(DomainError):
@@ -196,18 +201,49 @@ class TestExpIntegralEnScaled:
 
 class TestIntegrateInterval:
     def test_polynomial(self):
-        q = integrate_interval(lambda x: x * x, 0.0, 1.0)
+        q = integrate_interval(lambda x: x * x, (0.0, 1.0))
         assert q.value == pytest.approx(1.0 / 3.0, rel=1e-14)
         assert q.evals >= 15
 
     def test_needs_refinement(self):
-        q = integrate_interval(lambda x: math.exp(-x * x), -6.0, 6.0)
+        q = integrate_interval(lambda x: math.exp(-x * x), (-6.0, 6.0))
         assert q.value == pytest.approx(math.sqrt(math.pi), rel=1e-11)
 
+    def test_kink_at_a_break_point(self):
+        # |x - 1/3| is linear on each side of the break, so GK15 is exact
+        # on both panels and neither is split; without the break the kink
+        # inside the one panel forces refinement
+        def f(x):
+            return abs(x - 1.0 / 3.0)
+
+        q = integrate_interval(f, [0.0, 1.0 / 3.0, 1.0])
+        assert q.value == pytest.approx(5.0 / 18.0, rel=1e-15)
+        assert q.evals == 30
+        whole = integrate_interval(f, (0.0, 1.0))
+        assert whole.value == pytest.approx(5.0 / 18.0, rel=1e-10)
+        assert whole.evals > 30
+
+    def test_panels_share_one_budget(self, monkeypatch):
+        # three first passes of 15 evaluations leave 15 of a budget of
+        # 60, less than one split of 30, so the call stops before any
+        # split; budgets of 60 per panel would each have allowed one
+        monkeypatch.setattr(numerics, "_QUAD_MAX_EVALS", 60)
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.sqrt(abs(x))
+
+        with pytest.raises(NonConvergenceError, match="60 evaluations"):
+            integrate_interval(f, (-1.0, 0.0, 0.5, 1.0), Tolerance(rel=1e-15, abs=0.0))
+        assert len(calls) == 45
+
     def test_rejects_bad_interval(self):
-        for a, b in ((1.0, 1.0), (2.0, 1.0), (0.0, float("inf"))):
+        for points in ((), (0.0,), (1.0, 1.0), (2.0, 1.0), (0.0, float("inf")),
+                       (float("nan"), 1.0), (0.0, float("nan"), 1.0), (0.0, 2.0, 1.0),
+                       (0.0, 1.0, 1.0, 2.0), (-1e308, 1e308)):
             with pytest.raises(DomainError):
-                integrate_interval(lambda x: x, a, b)
+                integrate_interval(lambda x: x, points)
 
 
 class TestIntegrateSemiInfinite:
@@ -232,8 +268,9 @@ class TestIntegrateSemiInfinite:
             assert q.value == pytest.approx(
                 exp_integral_en_scaled(1, alpha), rel=1e-10)
 
-    def test_exhausted_budget_raises(self):
-        tol = Tolerance(rel=1e-15, abs=1e-300, max_evals=60)
+    def test_exhausted_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_QUAD_MAX_EVALS", 60)
+        tol = Tolerance(rel=1e-15, abs=1e-300)
         with pytest.raises(NonConvergenceError):
             integrate_semi_infinite(lambda z: math.exp(-z) / (1.0 + z), tol)
 
@@ -366,9 +403,10 @@ class TestFindRootBracketed:
         root = find_root_bracketed(lambda x: x - 1e-49, 0.0, 1.0, tol)
         assert root == pytest.approx(1e-49, rel=1e-14)
 
-    def test_eval_cap_raises(self):
+    def test_eval_cap_raises(self, monkeypatch):
         # a step-like function forces pure bisection; 16 evals cannot
         # shrink [0, 1] to the requested relative width
-        tol = Tolerance(rel=1e-300, abs=0.0 + 1e-320, max_evals=16)
+        monkeypatch.setattr(numerics, "_ROOT_MAX_EVALS", 16)
+        tol = Tolerance(rel=1e-300, abs=0.0 + 1e-320)
         with pytest.raises(NonConvergenceError):
             find_root_bracketed(lambda x: math.copysign(1.0, x - 1.0 / 3.0), 0.0, 1.0, tol)

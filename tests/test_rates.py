@@ -191,7 +191,7 @@ class TestRepresentations:
     def test_closed_inner_form_matches_quadrature_on_grid(self):
         # gate for the closed-form default: it may be used only because
         # this agreement holds to 1e-10 over the whole grid
-        tol = Tolerance(rel=1e-12, abs=1e-13, max_evals=500_000)
+        tol = Tolerance(rel=1e-12, abs=1e-13)
         for beta, gamma in GRID:
             point = ChannelPoint(beta, gamma)
             closed = opt_se_lds_fading(point, tol).bits_per_dim
@@ -199,7 +199,7 @@ class TestRepresentations:
             assert abs(closed - quad) <= 1e-10, (beta, gamma, closed, quad)
 
     def test_laplace_route_matches_mixture_route(self):
-        tol = Tolerance(rel=1e-11, abs=1e-12, max_evals=500_000)
+        tol = Tolerance(rel=1e-11, abs=1e-12)
         scheme = SchemeSpec.parse("lds-opt-fading")
         for beta, gamma in ((1.0, 1.0), (2.0, 100.0)):
             point = ChannelPoint(beta, gamma)
@@ -208,7 +208,7 @@ class TestRepresentations:
             assert abs(a - b) <= 1e-8
 
     def test_matched_filter_forms_agree(self):
-        tol = Tolerance(rel=1e-12, abs=1e-14, max_evals=500_000)
+        tol = Tolerance(rel=1e-12, abs=1e-14)
         scheme = SchemeSpec.parse("lds-sumf-fading")
         for beta, gamma in ((0.5, 0.1), (1.0, 10.0), (4.0, 100.0)):
             point = ChannelPoint(beta, gamma)
@@ -714,15 +714,29 @@ class TestSlopesAndFloor:
             assert eta_min(scheme) == LN2
 
     def test_low_snr_slopes(self):
+        slopes = (
+            (("lds-sumf-nofading", "lds-mmse-nofading", "lds-zf-nofading", "ds-mmse-nofading"),
+             lambda b: 2.0 * b / (1.0 + 2.0 * b)),
+            (("lds-opt-nofading", "ds-opt-nofading"), lambda b: 2.0 * b / (1.0 + b)),
+            (("lds-sumf-fading", "ds-mmse-fading"), lambda b: b / (1.0 + b)),
+            (("lds-opt-fading", "ds-opt-fading"), lambda b: 2.0 * b / (2.0 + b)),
+        )
+        assert sorted(n for names, _ in slopes for n in names) == sorted(SUPPORTED_SCHEMES)
         assert low_snr_slope(SchemeSpec.parse("lds-sumf-fading"), 1.0) == pytest.approx(0.5)
         assert low_snr_slope(SchemeSpec.parse("lds-opt-fading"), 2.0) == pytest.approx(1.0)
-        for beta in (1e-6, 1e-9):
-            assert low_snr_slope(SchemeSpec.parse("lds-sumf-fading"), beta) < 2e-6
-            assert low_snr_slope(SchemeSpec.parse("lds-opt-fading"), beta) < 2e-6
+        for names, slope in slopes:
+            for scheme in map(SchemeSpec.parse, names):
+                for beta in (0.5, 1.0, 2.0, 1e4):
+                    assert low_snr_slope(scheme, beta) == pytest.approx(slope(beta), rel=1e-15)
+                for beta in (1e-6, 1e-9):
+                    assert low_snr_slope(scheme, beta) < 2e-6
+                # the first-order rule of the rate routes rests on beta/S0 <= 1 + beta
+                for beta in (1e-6, 0.3, 1.0, 5.0, 1e4):
+                    assert beta / low_snr_slope(scheme, beta) <= (1.0 + beta) * (1.0 + 1e-15)
 
     def test_low_snr_slope_unsupported(self):
         with pytest.raises(UnsupportedSchemeError):
-            low_snr_slope(SchemeSpec.parse("ds-mmse-nofading"), 1.0)
+            low_snr_slope(SchemeSpec.parse("ds-zf-nofading"), 1.0)
 
     def test_high_snr_slopes(self):
         assert high_snr_slope(SchemeSpec.parse("lds-sumf-fading"), 1.0) == pytest.approx(
