@@ -54,11 +54,7 @@ from .rates import (
     mmse_se_ds_nofading,
     opt_se_ds_nofading,
     opt_se_lds_fading,
-    opt_se_lds_fading_erlang,
-    opt_se_lds_nofading,
     spectral_efficiency,
-    sumf_rate_lds_fading,
-    sumf_rate_lds_nofading,
 )
 
 __all__ = [
@@ -144,18 +140,28 @@ def _derived_seed(master: int, tag: int) -> int:
 # ----------------------------------------------------------------------
 
 def _check_eta_floor(seed: int) -> list[CheckResult]:
-    """beta*gamma/rate at gamma = 1e-5 sits within 0.2% of ln 2."""
+    """beta*gamma/rate of all ten schemes at gamma = 1e-4 equals
+    ln 2 (1 + q gamma), q = beta/S0 with S0 from low_snr_slope, within
+    2 ln 2 (q gamma)^2.
+
+    The energy per bit leaves its ln 2 floor to first order as
+    ln 2 (1 + q gamma), since the rate in nats is
+    beta gamma (1 - q gamma + O(gamma^2)).  The next term,
+    (eta/ln 2 - 1 - q gamma)/(q gamma)^2, measured between -0.973 and
+    -0.333 over the ten schemes at beta in {0.5, 1, 2}, at gamma = 1e-5
+    and 1e-4 alike.  So the tolerance holds it with a factor 2 to spare,
+    and it is 2 q gamma <= 6e-4 of the first-order term."""
     del seed
-    gamma = 1e-5
+    gamma = 1e-4
+    tol = Tolerance(rel=1e-12, abs=1e-15)
     out = []
-    for name in ("lds-sumf-fading", "lds-opt-fading", "lds-opt-nofading",
-                 "ds-opt-fading"):
-        scheme = SchemeSpec.parse(name)
+    for scheme in map(SchemeSpec.parse, SUPPORTED_SCHEMES):
         for beta in (0.5, 1.0, 2.0):
-            rate = spectral_efficiency(scheme, ChannelPoint(beta, gamma)).bits_per_dim
-            eta = beta * gamma / rate
+            rate = spectral_efficiency(scheme, ChannelPoint(beta, gamma), tol).bits_per_dim
+            q_gamma = beta / low_snr_slope(scheme, beta) * gamma
             out.append(CheckResult.compare(
-                f"eta-floor.{name}.beta{beta:g}", LN2, eta, 0.002 * LN2))
+                f"eta-floor.{scheme.name}.beta{beta:g}", LN2 * (1.0 + q_gamma),
+                beta * gamma / rate, 2.0 * LN2 * q_gamma * q_gamma))
     return out
 
 
@@ -202,12 +208,15 @@ def _measured_high_snr_slope(scheme: SchemeSpec, beta: float) -> float:
 def _check_high_snr_slopes(seed: int) -> list[CheckResult]:
     """Per-3dB growth measured between SNR 1e5 and 1e8 matches
     high_snr_slope: beta e^-beta (sparse, linear), 1 - e^-beta (sparse,
-    optimum) and the piecewise dense-MMSE values."""
+    optimum), min(beta, 1) (dense, optimum) and the piecewise dense-MMSE
+    values.  Dense MMSE with fading is left out: at beta = 1 its slope
+    nears 1/2 only like 1/ln gamma and reads 0.533 here."""
     del seed
     out = []
     for beta in (0.5, 1.0, 2.0):
         for name in ("lds-sumf-nofading", "lds-sumf-fading", "lds-opt-nofading",
-                     "lds-opt-fading", "ds-mmse-nofading"):
+                     "lds-opt-fading", "ds-mmse-nofading", "ds-opt-nofading",
+                     "ds-opt-fading"):
             scheme = SchemeSpec.parse(name)
             expected = high_snr_slope(scheme, beta)
             tol = 0.02 * expected if expected > 0.0 else 0.02
@@ -223,41 +232,35 @@ def _check_high_snr_slopes(seed: int) -> list[CheckResult]:
 
 _GRID_BETAS = (0.5, 1.0, 2.0, 4.0)
 _GRID_GAMMAS = (0.1, 1.0, 10.0, 100.0)
+# (check-name prefix, scheme) for the six sparse schemes
+_REPRESENTATION_CHECKS = (
+    ("opt-routes", "lds-opt-fading"),
+    ("sumf-forms", "lds-sumf-fading"),
+    ("opt-nofading", "lds-opt-nofading"),
+    ("sumf-nofading", "lds-sumf-nofading"),
+    ("mmse-nofading", "lds-mmse-nofading"),
+    ("zf-nofading", "lds-zf-nofading"),
+)
 
 
 def _check_representations(seed: int) -> list[CheckResult]:
-    """Every sparse production series agrees with the Laplace form of
-    its rate (``rates.laplace_rate``: one integral, no Poisson sum) to
-    1e-10 bits on the 16-point grid: opt-series for lds-opt-fading,
-    sumf-forms for lds-sumf-fading, opt-nofading for lds-opt-nofading
-    and sumf-nofading for lds-sumf-nofading, whose series MMSE and zero
-    forcing share.  The Laplace form of the optimum rate with fading
-    agrees with its Erlang-density quadrature to 1e-8 bits (opt-routes),
-    so two quadratures of different integrands back the series."""
+    """Every sparse scheme's production rate, through
+    ``spectral_efficiency``, agrees with the Laplace form of its rate
+    (``rates.laplace_rate``: one integral, no Poisson sum) to 1e-10 bits
+    on the 16-point grid.  Each scheme has its own check-name prefix;
+    the benchmark reads its latency grid from the opt-routes names."""
     del seed
-    grid = [ChannelPoint(beta, gamma) for beta in _GRID_BETAS for gamma in _GRID_GAMMAS]
-    tol_mix = Tolerance(rel=1e-11, abs=1e-12)
-    tol_tight = Tolerance(rel=1e-12, abs=1e-14)
+    tol = Tolerance(rel=1e-12, abs=1e-14)
     out = []
-    opt_fading = SchemeSpec.parse("lds-opt-fading")
-    for point in grid:
-        label = f"beta{point.beta:g}.gamma{point.gamma:g}"
-        laplace = laplace_rate(opt_fading, point, tol_tight).bits_per_dim
-        out.append(CheckResult.compare(
-            f"opt-routes.{label}", opt_se_lds_fading_erlang(point, tol_mix).bits_per_dim,
-            laplace, 1e-8))
-        out.append(CheckResult.compare(
-            f"opt-series.{label}", laplace, opt_se_lds_fading(point, tol_tight).bits_per_dim,
-            1e-10))
-    for prefix, name, series in (("sumf-forms", "lds-sumf-fading", sumf_rate_lds_fading),
-                                 ("opt-nofading", "lds-opt-nofading", opt_se_lds_nofading),
-                                 ("sumf-nofading", "lds-sumf-nofading", sumf_rate_lds_nofading)):
+    for prefix, name in _REPRESENTATION_CHECKS:
         scheme = SchemeSpec.parse(name)
-        for point in grid:
-            out.append(CheckResult.compare(
-                f"{prefix}.beta{point.beta:g}.gamma{point.gamma:g}",
-                laplace_rate(scheme, point, tol_tight).bits_per_dim,
-                series(point, tol_tight).bits_per_dim, 1e-10))
+        for beta in _GRID_BETAS:
+            for gamma in _GRID_GAMMAS:
+                point = ChannelPoint(beta, gamma)
+                out.append(CheckResult.compare(
+                    f"{prefix}.beta{beta:g}.gamma{gamma:g}",
+                    laplace_rate(scheme, point, tol).bits_per_dim,
+                    spectral_efficiency(scheme, point, tol).bits_per_dim, 1e-10))
     return out
 
 
