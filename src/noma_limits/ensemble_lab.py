@@ -37,6 +37,7 @@ __all__ = [
     "McEstimate",
     "draw_system",
     "gram_diagonal",
+    "draw_gram",
     "empirical_moments",
     "empirical_opt_se",
     "empirical_lsd_cdf_distance",
@@ -48,10 +49,12 @@ __all__ = [
 ]
 
 _BLOCK = 1_000_000
+_CHUNK = 1 << 16  # samples per pass of the streamed draws, 512 kB of float64
 _MAX_ENTRIES = 1 << 24  # largest dense spreading matrix, about 128 MB of float64
 _MAX_USERS = 1 << 31  # the count law spans about 37 sqrt(K) counts at N = 2
 # largest system draw_system builds: 16 bytes per user (position, power)
-# and 8 per dimension for the sums gram_diagonal bins, about 400 MB at the limit
+# and 8 per dimension for the sums gram_diagonal bins, about 400 MB at the
+# limit; draw_gram holds 4 bytes per user and 8 per dimension, about 192 MB
 _MAX_DRAW = 1 << 24
 # largest sample and trial counts of the estimators: a count beyond any
 # machine's reach fails at once instead of looping over blocks; both stay
@@ -184,6 +187,25 @@ def gram_diagonal(draw: SystemDraw) -> GramDiagonal:
     return GramDiagonal(values=values)
 
 
+def draw_gram(n_dims: int, n_users: int, seed: int) -> GramDiagonal:
+    """gram_diagonal(draw_system(n_dims, n_users, seed)), bit for bit,
+    without holding the draw: the same stream gives int32 positions (for
+    ranges below 2^32 numpy draws the same values as for int64) and then
+    the powers, one chunk at a time, each chunk added in user order as
+    bincount adds them.  Same size and seed checks as draw_system."""
+    n_dims = _check_size("n_dims", n_dims, _MAX_DRAW)
+    n_users = _check_size("n_users", n_users, _MAX_DRAW)
+    rng = _generator(seed, _STREAM_SYSTEM)
+    positions = rng.integers(0, n_dims, size=n_users, dtype=np.int32)
+    values = np.zeros(n_dims)
+    chunk = np.empty(min(_CHUNK, n_users))
+    for lo in range(0, n_users, _CHUNK):
+        powers = chunk[:min(_CHUNK, n_users - lo)]
+        rng.standard_exponential(out=powers)
+        np.add.at(values, positions[lo:lo + len(powers)], powers)
+    return GramDiagonal(values=values)
+
+
 def empirical_moments(gram: GramDiagonal, l_max: int) -> MomentVector:
     """Spectral moments (1/N) sum_i lambda_i^L for L = 1..l_max; the load
     field carries the first moment, the natural empirical load estimate.
@@ -233,7 +255,7 @@ def mc_opt_se(n_dims: int, beta: float, gamma: float, seed: int) -> McEstimate:
     n_dims, n_users = _draw_size(n_dims, beta)
     seed = _check_seed(seed)
     reference = opt_se_lds_fading(ChannelPoint(beta, gamma)).bits_per_dim
-    terms = _opt_terms(gram_diagonal(draw_system(n_dims, n_users, seed)), gamma) / LN2
+    terms = _opt_terms(draw_gram(n_dims, n_users, seed), gamma) / LN2
     se = float(terms.std(ddof=1) / math.sqrt(n_dims)) if n_dims > 1 else 0.0
     return McEstimate(float(terms.mean()), se, n_dims, seed, reference)
 
@@ -346,7 +368,7 @@ def mc_lsd_distance(n_dims: int, beta: float, seed: int) -> McEstimate:
     n_dims, n_users = _draw_size(n_dims, beta)
     seed = _check_seed(seed)
     mixture = LsdMixture(beta)
-    gram = gram_diagonal(draw_system(n_dims, n_users, seed))
+    gram = draw_gram(n_dims, n_users, seed)
     return McEstimate(empirical_lsd_cdf_distance(gram, mixture), 0.0, n_dims, seed, 0.0)
 
 
@@ -360,27 +382,33 @@ def _count_law(n: int, p: float) -> tuple[int, np.ndarray]:
                           lambda c: (n - c) * p / ((c + 1) * q), n, 1e-300)
 
 
-def _sumf_block(rng: np.random.Generator, own: np.ndarray, interference: np.ndarray,
+def _sumf_block(rng: np.random.Generator, own: np.ndarray, scratch: np.ndarray,
                 first: int, pmf: np.ndarray, gamma: float) -> tuple[float, float]:
     """Sum and sum of squares of one block's sample values
-    log2(1 + gamma a / (1 + gamma I)), every step in place in the two
-    buffers, whose length is the block's size."""
-    m = len(own)
+    log2(1 + gamma a / (1 + gamma I)), every step in place in ``own``,
+    whose length is the block's size.  The interference is drawn one
+    chunk of a count group at a time into ``scratch``: the draws and
+    every sample's arithmetic are those of one block-long buffer."""
     rng.standard_exponential(out=own)
-    interference.fill(0.0)
     end = 0
-    for c, size in enumerate(rng.multinomial(m, pmf).tolist(), start=first):
+    for c, size in enumerate(rng.multinomial(len(own), pmf).tolist(), start=first):
         start, end = end, end + size
-        if c > 0 and size > 0:
-            rng.standard_gamma(c, out=interference[start:end])
-    np.multiply(interference, gamma, out=interference)
-    np.add(interference, 1.0, out=interference)
-    np.multiply(own, gamma, out=own)
-    np.divide(own, interference, out=own)
-    np.log1p(own, out=own)
-    np.divide(own, LN2, out=own)
-    np.multiply(own, own, out=interference)
-    return float(np.sum(own)), float(np.sum(interference))
+        for lo in range(start, end, _CHUNK):
+            hi = min(lo + _CHUNK, end)
+            interference, value = scratch[:hi - lo], own[lo:hi]
+            if c > 0:
+                rng.standard_gamma(c, out=interference)
+            else:
+                interference.fill(0.0)
+            np.multiply(interference, gamma, out=interference)
+            np.add(interference, 1.0, out=interference)
+            np.multiply(value, gamma, out=value)
+            np.divide(value, interference, out=value)
+            np.log1p(value, out=value)
+            np.divide(value, LN2, out=value)
+    total = float(np.sum(own))
+    np.multiply(own, own, out=own)
+    return total, float(np.sum(own))
 
 
 def mc_sumf_rate(n_dims: int, beta: float, gamma: float, n_samples: int,
@@ -410,10 +438,11 @@ def mc_sumf_rate(n_dims: int, beta: float, gamma: float, n_samples: int,
 
     Draws are generated in fixed-size blocks, each keyed by its index.
     The blocks run on W = min(thread_count(), blocks) worker slots of
-    the thread pool; slot w takes blocks w, w + W, ... in two buffers
-    of one block each, so memory stays at 16 MB per slot.  The block
-    sums are reduced with math.fsum, which is exactly rounded, so the
-    result is bit-for-bit reproducible whatever the worker count.
+    the thread pool; slot w takes blocks w, w + W, ... in one buffer of
+    one block and one chunk of interference, so memory stays at about
+    8.5 MB per slot.  The block sums are reduced with math.fsum, which
+    is exactly rounded, so the result is bit-for-bit reproducible
+    whatever the worker count.
     """
     n_dims = _check_size("n_dims", n_dims)
     n_samples = _check_size("n_samples", n_samples, _MAX_SAMPLES)
@@ -428,11 +457,11 @@ def mc_sumf_rate(n_dims: int, beta: float, gamma: float, n_samples: int,
     size = min(_BLOCK, n_samples)
     # the caller allocates every slot's buffers: worker threads that
     # allocated their own would keep them in per-thread malloc arenas
-    buffers = [(np.empty(size), np.empty(size)) for _ in range(slots)]
+    buffers = [(np.empty(size), np.empty(min(_CHUNK, size))) for _ in range(slots)]
 
     def run_slot(slot: int) -> list[tuple[float, float]]:
-        own, interference = buffers[slot]
-        return [_sumf_block(rng, own[:m], interference[:m], first, pmf, gamma)
+        own, scratch = buffers[slot]
+        return [_sumf_block(rng, own[:m], scratch, first, pmf, gamma)
                 for rng, m in _blocks(seed, _STREAM_SUMF, n_samples, slot, slots)]
 
     sums = [block for slot_sums in thread_map(run_slot, range(slots)) for block in slot_sums]
@@ -499,13 +528,14 @@ def mc_ds_fading_logdet(n_dims: int, beta: float, gamma: float, n_trials: int,
     for trial in range(n_trials):
         rng = _generator(seed, _STREAM_DS, trial)
         chips = np.frombuffer(rng.bytes(-(-n_chips // 8)), dtype=np.uint8)
-        received = np.unpackbits(chips, count=n_chips).reshape(n_dims, n_users).astype(float)
+        signs = np.unpackbits(chips, count=n_chips).reshape(n_dims, n_users).view(np.int8)
+        signs *= 2
+        signs -= 1
         re = rng.standard_normal(n_users)
         im = rng.standard_normal(n_users)
         amplitude = np.sqrt(0.5 * (re * re + im * im)) * scale
         # bit b gives (2b - 1) |h| / sqrt(N), exactly
-        received *= 2.0 * amplitude
-        received -= amplitude
+        received = np.multiply(signs, amplitude)
         vals[trial] = _logdet_capacity(received, gamma)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0

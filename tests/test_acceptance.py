@@ -45,13 +45,13 @@ def test_the_largest_seed_derives_the_largest_key(monkeypatch):
 
     def record_draw(_n_dims, _n_users, seed):
         seeds.append(seed)
-        return ensemble_lab.draw_system(4, 4, 0)
+        return ensemble_lab.draw_gram(4, 4, 0)
 
     def record_estimate(*args):
         seeds.append(args[-1])
         return McEstimate(1.0, 1.0, 1, args[-1], 1.0)
 
-    monkeypatch.setattr(verification, "draw_system", record_draw)
+    monkeypatch.setattr(verification, "draw_gram", record_draw)
     monkeypatch.setattr(verification, "mc_sumf_rate", record_estimate)
     monkeypatch.setattr(verification, "mc_ds_fading_logdet", record_estimate)
     for criterion in CRITERIA:
@@ -110,6 +110,26 @@ def test_representations_fail_a_route_1e_9_off(monkeypatch, route):
     else:
         monkeypatch.setitem(rates._FORMULAS, route, scaled(rates._FORMULAS[route]))
     assert not all(c.passed for c in run_criterion(_criterion("representations")))
+
+
+def test_curve_orderings_chain_each_curve_as_curve_does(monkeypatch):
+    # per curve of 21 loads: a cold first inversion, then the previous
+    # root, then the previous root extrapolated in log gamma
+    real = verification.gamma_from_eta
+    calls = {}
+
+    def recording(scheme, beta, eta, tol, guess=None):
+        gamma = real(scheme, beta, eta, tol, guess)
+        calls.setdefault(scheme.name, []).append((guess, gamma))
+        return gamma
+
+    monkeypatch.setattr(verification, "gamma_from_eta", recording)
+    assert all(c.passed for c in run_criterion(_criterion("curve-orderings")))
+    assert len(calls) == 8
+    for chain in calls.values():
+        guesses, roots = zip(*chain[:21])
+        expected = [None, roots[0]] + [b * (b / a) for a, b in zip(roots, roots[1:20])]
+        assert list(guesses) == expected
 
 
 def test_representations_grid_names_the_latency_probe_reads():

@@ -1,6 +1,7 @@
 """Finite-size Monte Carlo laboratory: draws, spectra, estimators."""
 
 import math
+import re
 import sys
 import tracemalloc
 
@@ -20,6 +21,7 @@ from noma_limits.ensemble_lab import (
     _logdet_capacity,
     LsdMixture,
     SystemDraw,
+    draw_gram,
     draw_system,
     empirical_lsd_cdf_distance,
     empirical_moments,
@@ -109,6 +111,41 @@ class TestDrawSystem:
         with pytest.raises(DomainError):
             SystemDraw(n_dims=4, n_users=3, positions=np.array([0, 1]),
                        fade_powers=np.ones(3), seed=0)
+
+
+class TestDrawGram:
+    """The streamed draw: the spectrum of draw_system's draw, bit for
+    bit, without holding the per-user powers."""
+
+    @pytest.mark.parametrize("n_dims, n_users", [
+        (1, 1), (1, 3), (7, 13), (50, 80), (1000, 65536), (1000, 65537), (10, 1_000_000)])
+    @pytest.mark.parametrize("seed", [0, 17, 2 ** 64 - 1])
+    def test_equals_the_binned_draw(self, n_dims, n_users, seed):
+        expected = gram_diagonal(draw_system(n_dims, n_users, seed)).values
+        assert np.array_equal(draw_gram(n_dims, n_users, seed).values, expected)
+
+    @pytest.mark.parametrize("args", [
+        (0, 5, 1), (5, 0, 1), (2 ** 24 + 1, 5, 1), (5, 2 ** 24 + 1, 1),
+        (True, 5, 1), (5, True, 1), (5, 5, -1), (5, 5, 1.5), (5, 5, 2 ** 64 + 5)])
+    def test_refuses_what_draw_system_refuses(self, args):
+        with pytest.raises(DomainError) as refused:
+            draw_system(*args)
+        with pytest.raises(DomainError, match=f"^{re.escape(str(refused.value))}$"):
+            draw_gram(*args)
+
+    def test_holds_positions_sums_and_one_chunk(self):
+        # 4 bytes per user and 8 per dimension, plus a 512 kB chunk; the
+        # drawn positions and powers of draw_system take 38 MB here.  The
+        # first call imports part of numpy's machinery, so it runs untraced.
+        draw_gram(10, 20, 5)
+        n_dims, n_users = 10 ** 6, 2 * 10 ** 6
+        tracemalloc.start()
+        try:
+            draw_gram(n_dims, n_users, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n_users + 8 * n_dims + (1 << 20)
 
 
 # ----------------------------------------------------------------------
@@ -410,8 +447,8 @@ class TestMcSumfRate:
         assert (est.mean, est.std_error) == (1.650853266435038, 0.0009071318201495276)
 
     def test_blocks_reuse_the_slot_buffers(self, monkeypatch):
-        # two slots hold an own-power and an interference buffer of 8 MB
-        # each; a per-block temporary would add at least 8 MB more
+        # two slots hold a block buffer of 8 MB and an interference chunk
+        # of 0.5 MB each; a block-long temporary would add 8 MB more
         monkeypatch.setenv("NOMA_LIMITS_THREADS", "2")
         tracemalloc.start()
         try:
@@ -419,7 +456,7 @@ class TestMcSumfRate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2 * 8 * (1 << 20) + (1 << 20)
+        assert peak < 2 * (8 + 0.5) * (1 << 20) + (1 << 20)
 
 
 class TestCollisionCountLaw:
@@ -662,6 +699,30 @@ class TestMcDsFadingLogdet:
         assert est.mean == pytest.approx(np.mean(vals), rel=0.0, abs=1e-13)
         assert est.std_error == pytest.approx(
             np.std(vals, ddof=1) / math.sqrt(n_trials), rel=0.0, abs=1e-13)
+
+    @pytest.mark.parametrize("n_dims, beta", [(64, 2.0), (256, 2.0), (128, 0.5)])
+    def test_signatures_are_the_float_chips_scaled(self, monkeypatch, n_dims, beta):
+        # the int8 signs times the amplitudes give, bit for bit, the
+        # float chips 2b - 1 times the same amplitudes
+        received = []
+
+        def record(matrix, _gamma):
+            received.append(matrix.copy())
+            return 1.0
+
+        monkeypatch.setattr(ensemble_lab, "_logdet_capacity", record)
+        mc_ds_fading_logdet(n_dims, beta, 10.0, 2, 3)
+        n_users = round(beta * n_dims)
+        n_chips = n_dims * n_users
+        for trial, got in enumerate(received):
+            rng = _generator(3, _STREAM_DS, trial)
+            bits = np.unpackbits(np.frombuffer(rng.bytes(-(-n_chips // 8)), dtype=np.uint8),
+                                 count=n_chips).reshape(n_dims, n_users)
+            re_h, im_h = rng.standard_normal(n_users), rng.standard_normal(n_users)
+            amplitude = np.sqrt(0.5 * (re_h * re_h + im_h * im_h)) * (1.0 / math.sqrt(n_dims))
+            assert got.dtype == np.float64
+            assert np.array_equal(got, (2.0 * bits - 1.0) * amplitude)
+        assert len(received) == 2
 
     def test_factors_the_gram_on_the_smaller_side(self, monkeypatch):
         shapes = []
