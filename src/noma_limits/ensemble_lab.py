@@ -54,7 +54,7 @@ _MAX_ENTRIES = 1 << 24  # largest dense spreading matrix, about 128 MB of float6
 _MAX_USERS = 1 << 31  # the count law spans about 37 sqrt(K) counts at N = 2
 # largest system draw_system builds: 16 bytes per user (position, power)
 # and 8 per dimension for the sums gram_diagonal bins, about 400 MB at the
-# limit; draw_gram holds 4 bytes per user and 8 per dimension, about 192 MB
+# limit; draw_gram holds 8 bytes per dimension and two chunks, about 128 MB
 _MAX_DRAW = 1 << 24
 # largest sample and trial counts of the estimators: a count beyond any
 # machine's reach fails at once instead of looping over blocks; both stay
@@ -189,20 +189,31 @@ def gram_diagonal(draw: SystemDraw) -> GramDiagonal:
 
 def draw_gram(n_dims: int, n_users: int, seed: int) -> GramDiagonal:
     """gram_diagonal(draw_system(n_dims, n_users, seed)), bit for bit,
-    without holding the draw: the same stream gives int32 positions (for
-    ranges below 2^32 numpy draws the same values as for int64) and then
-    the powers, one chunk at a time, each chunk added in user order as
-    bincount adds them.  Same size and seed checks as draw_system."""
+    without holding the draw.  Same size and seed checks as draw_system.
+
+    Two generators run on the one stream key of draw_system.  The first
+    is walked past the n_users positions, one chunk at a time, and then
+    gives the powers; the second gives the positions again, a chunk at a
+    time, in step with them.  Positions are drawn as int32: for ranges
+    below 2^32 numpy draws the same values as for int64, and the Philox
+    bit generator, not the call, keeps the spare half of a 64-bit word,
+    so chunked draws equal one draw of all n_users.  Each chunk of
+    powers is added with np.add.at in user order, as bincount adds
+    them.  Memory is 8 bytes per dimension for the sums plus a chunk of
+    positions and one of powers, about 128 MB at the 2^24 limit."""
     n_dims = _check_size("n_dims", n_dims, _MAX_DRAW)
     n_users = _check_size("n_users", n_users, _MAX_DRAW)
     rng = _generator(seed, _STREAM_SYSTEM)
-    positions = rng.integers(0, n_dims, size=n_users, dtype=np.int32)
+    positions = _generator(seed, _STREAM_SYSTEM)
+    for lo in range(0, n_users, _CHUNK):
+        rng.integers(0, n_dims, size=min(_CHUNK, n_users - lo), dtype=np.int32)
     values = np.zeros(n_dims)
     chunk = np.empty(min(_CHUNK, n_users))
     for lo in range(0, n_users, _CHUNK):
         powers = chunk[:min(_CHUNK, n_users - lo)]
         rng.standard_exponential(out=powers)
-        np.add.at(values, positions[lo:lo + len(powers)], powers)
+        np.add.at(values, positions.integers(0, n_dims, size=len(powers), dtype=np.int32),
+                  powers)
     return GramDiagonal(values=values)
 
 
@@ -219,24 +230,39 @@ def empirical_moments(gram: GramDiagonal, l_max: int) -> MomentVector:
     values = []
     power = np.ones_like(lam)
     for _ in range(l_max):
-        power = power * lam
+        np.multiply(power, lam, out=power)
         values.append(float(np.sum(power)) / gram.n_dims)
     return MomentVector(beta=values[0], orders=tuple(range(1, l_max + 1)),
                         values=tuple(values))
 
 
-def _opt_terms(gram: GramDiagonal, gamma: float) -> np.ndarray:
-    """ln(1 + gamma lambda_i) for each dimension: the per-dimension term,
-    in nats, of the optimum-decoding rate of one draw."""
+def _opt_sum(gram: GramDiagonal, gamma: float, center: float | None = None) -> float:
+    """Sum over the dimensions of t_i = ln(1 + gamma lambda_i), the
+    per-dimension term, in nats, of the optimum-decoding rate of one
+    draw; with a ``center``, the sum of (t_i - center)^2 instead.
+
+    The terms are formed one chunk at a time in one scratch buffer, and
+    the chunk sums are added with math.fsum."""
     if not (isinstance(gamma, (int, float)) and math.isfinite(gamma) and gamma >= 0):
         raise DomainError(f"gamma must be a nonnegative finite real, got {gamma!r}")
-    return np.log1p(gamma * gram.values)
+    lam = gram.values
+    scratch = np.empty(min(_CHUNK, len(lam)))
+    sums = []
+    for lo in range(0, len(lam), _CHUNK):
+        terms = scratch[:min(_CHUNK, len(lam) - lo)]
+        np.multiply(lam[lo:lo + len(terms)], gamma, out=terms)
+        np.log1p(terms, out=terms)
+        if center is not None:
+            np.subtract(terms, center, out=terms)
+            np.multiply(terms, terms, out=terms)
+        sums.append(float(np.sum(terms)))
+    return math.fsum(sums)
 
 
 def empirical_opt_se(gram: GramDiagonal, gamma: float) -> float:
     """Optimum-decoding spectral efficiency of one draw:
     (1/N) sum_i log2(1 + gamma lambda_i), using the diagonal eigenvalues."""
-    return float(np.sum(_opt_terms(gram, gamma)) / (gram.n_dims * LN2))
+    return _opt_sum(gram, gamma) / (gram.n_dims * LN2)
 
 
 def _draw_size(n_dims: int, beta: float) -> tuple[int, int]:
@@ -255,9 +281,12 @@ def mc_opt_se(n_dims: int, beta: float, gamma: float, seed: int) -> McEstimate:
     n_dims, n_users = _draw_size(n_dims, beta)
     seed = _check_seed(seed)
     reference = opt_se_lds_fading(ChannelPoint(beta, gamma)).bits_per_dim
-    terms = _opt_terms(draw_gram(n_dims, n_users, seed), gamma) / LN2
-    se = float(terms.std(ddof=1) / math.sqrt(n_dims)) if n_dims > 1 else 0.0
-    return McEstimate(float(terms.mean()), se, n_dims, seed, reference)
+    gram = draw_gram(n_dims, n_users, seed)
+    mean = _opt_sum(gram, gamma) / n_dims
+    # the deviations are summed in a second pass, so nothing cancels
+    se = (math.sqrt(_opt_sum(gram, gamma, mean) / (n_dims - 1) / n_dims)
+          if n_dims > 1 else 0.0)
+    return McEstimate(mean / LN2, se / LN2, n_dims, seed, reference)
 
 
 def _pmf_from_mode(mode: int, ratio, last: float, cut: float) -> tuple[int, np.ndarray]:
@@ -382,20 +411,20 @@ def _count_law(n: int, p: float) -> tuple[int, np.ndarray]:
                           lambda c: (n - c) * p / ((c + 1) * q), n, 1e-300)
 
 
-def _sumf_block(rng: np.random.Generator, own: np.ndarray, scratch: np.ndarray,
-                first: int, pmf: np.ndarray, gamma: float) -> tuple[float, float]:
-    """Sum and sum of squares of one block's sample values
-    log2(1 + gamma a / (1 + gamma I)), every step in place in ``own``,
-    whose length is the block's size.  The interference is drawn one
-    chunk of a count group at a time into ``scratch``: the draws and
-    every sample's arithmetic are those of one block-long buffer."""
-    rng.standard_exponential(out=own)
-    end = 0
-    for c, size in enumerate(rng.multinomial(len(own), pmf).tolist(), start=first):
-        start, end = end, end + size
-        for lo in range(start, end, _CHUNK):
-            hi = min(lo + _CHUNK, end)
-            interference, value = scratch[:hi - lo], own[lo:hi]
+def _sumf_block(rng: np.random.Generator, m: int, own: np.ndarray, scratch: np.ndarray,
+                first: int, pmf: np.ndarray, gamma: float) -> list[tuple[float, float]]:
+    """Sum and sum of squares of the sample values
+    log2(1 + gamma a / (1 + gamma I)) of each chunk of one block of m
+    samples.  The block's count groups are drawn first; then each chunk
+    of a group draws its own powers a into ``own`` and its interference
+    I into ``scratch``, and every step runs in place in those two
+    chunk-long buffers."""
+    sums = []
+    for c, size in enumerate(rng.multinomial(m, pmf).tolist(), start=first):
+        for lo in range(0, size, _CHUNK):
+            n = min(_CHUNK, size - lo)
+            value, interference = own[:n], scratch[:n]
+            rng.standard_exponential(out=value)
             if c > 0:
                 rng.standard_gamma(c, out=interference)
             else:
@@ -406,9 +435,10 @@ def _sumf_block(rng: np.random.Generator, own: np.ndarray, scratch: np.ndarray,
             np.divide(value, interference, out=value)
             np.log1p(value, out=value)
             np.divide(value, LN2, out=value)
-    total = float(np.sum(own))
-    np.multiply(own, own, out=own)
-    return total, float(np.sum(own))
+            total = float(np.sum(value))
+            np.multiply(value, value, out=value)
+            sums.append((total, float(np.sum(value))))
+    return sums
 
 
 def mc_sumf_rate(n_dims: int, beta: float, gamma: float, n_samples: int,
@@ -429,20 +459,26 @@ def mc_sumf_rate(n_dims: int, beta: float, gamma: float, n_samples: int,
     The samples of a block are exchangeable and only their sum and sum
     of squares are kept, so a block draws its m collision counts as a
     whole: how many samples take each count c is Multinomial(m, pmf)
-    over the binomial pmf (_count_law), and each count group takes one
-    Gamma(c, 1) draw of its size, c = 0 needing none.  This is the same
+    over the binomial pmf (_count_law), and each count group takes
+    Gamma(c, 1) draws of its size, c = 0 needing none.  This is the same
     joint law as m independent (count, interference) pairs listed in
-    count order; the own powers are independent of both, so pairing
-    them by position leaves the law unchanged.  Only count tails below
-    1e-300 are cut.
+    count order.  Only count tails below 1e-300 are cut.
+
+    Stream order within a block: the group sizes first, then for each
+    chunk of at most 65,536 samples of a group its own powers and then
+    its interference.  The own powers are i.i.d. Exp(1) and independent
+    of the counts and the interference, so drawing them chunk by chunk
+    beside the interference pairs every (count, interference) with an
+    independent Exp(1) power, as drawing them all first would; the law
+    of the block's samples, and so of their sums, is unchanged.
 
     Draws are generated in fixed-size blocks, each keyed by its index.
     The blocks run on W = min(thread_count(), blocks) worker slots of
-    the thread pool; slot w takes blocks w, w + W, ... in one buffer of
-    one block and one chunk of interference, so memory stays at about
-    8.5 MB per slot.  The block sums are reduced with math.fsum, which
-    is exactly rounded, so the result is bit-for-bit reproducible
-    whatever the worker count.
+    the thread pool; slot w takes blocks w, w + W, ... in one chunk of
+    own powers and one of interference, so memory stays at about 1 MB
+    per slot.  The per-chunk sums are reduced with math.fsum, which is
+    exactly rounded, so the result is bit-for-bit reproducible whatever
+    the worker count.
     """
     n_dims = _check_size("n_dims", n_dims)
     n_samples = _check_size("n_samples", n_samples, _MAX_SAMPLES)
@@ -454,17 +490,17 @@ def mc_sumf_rate(n_dims: int, beta: float, gamma: float, n_samples: int,
         return McEstimate(0.0, 0.0, n_samples, seed, reference)
     first, pmf = _count_law(n_users - 1, 1.0 / n_dims)
     slots = min(thread_count(), -(-n_samples // _BLOCK))
-    size = min(_BLOCK, n_samples)
+    size = min(_CHUNK, n_samples)
     # the caller allocates every slot's buffers: worker threads that
     # allocated their own would keep them in per-thread malloc arenas
-    buffers = [(np.empty(size), np.empty(min(_CHUNK, size))) for _ in range(slots)]
+    buffers = [(np.empty(size), np.empty(size)) for _ in range(slots)]
 
     def run_slot(slot: int) -> list[tuple[float, float]]:
         own, scratch = buffers[slot]
-        return [_sumf_block(rng, own[:m], scratch, first, pmf, gamma)
-                for rng, m in _blocks(seed, _STREAM_SUMF, n_samples, slot, slots)]
+        return [chunk for rng, m in _blocks(seed, _STREAM_SUMF, n_samples, slot, slots)
+                for chunk in _sumf_block(rng, m, own, scratch, first, pmf, gamma)]
 
-    sums = [block for slot_sums in thread_map(run_slot, range(slots)) for block in slot_sums]
+    sums = [chunk for slot_sums in thread_map(run_slot, range(slots)) for chunk in slot_sums]
     s1 = math.fsum(total for total, _ in sums)
     s2 = math.fsum(total_sq for _, total_sq in sums)
     mean_term = s1 / n_samples

@@ -7,6 +7,7 @@ message then carries the offending comparisons verbatim.
 """
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
@@ -62,6 +63,20 @@ def test_the_largest_seed_derives_the_largest_key(monkeypatch):
 
 def _criterion(key):
     return next(c for c in CRITERIA if c.key == key)
+
+
+def test_opt_monte_carlo_holds_one_spectrum_at_a_time():
+    # each 1e6-dimension spectrum is 8 MB; holding the first while the
+    # second is drawn read 24 MB
+    criterion = _criterion("opt-monte-carlo")
+    run_criterion(criterion, DEFAULT_SEED)
+    tracemalloc.start()
+    try:
+        run_criterion(criterion, DEFAULT_SEED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 << 20
 
 
 def test_ds_logdet_fails_a_reference_one_percent_off(monkeypatch):

@@ -133,10 +133,11 @@ class TestDrawGram:
         with pytest.raises(DomainError, match=f"^{re.escape(str(refused.value))}$"):
             draw_gram(*args)
 
-    def test_holds_positions_sums_and_one_chunk(self):
-        # 4 bytes per user and 8 per dimension, plus a 512 kB chunk; the
-        # drawn positions and powers of draw_system take 38 MB here.  The
-        # first call imports part of numpy's machinery, so it runs untraced.
+    def test_holds_the_sums_and_two_chunks(self):
+        # 8 bytes per dimension, plus a chunk of positions and one of
+        # powers; the drawn positions and powers of draw_system take 38 MB
+        # here.  The first call imports part of numpy's machinery, so it
+        # runs untraced.
         draw_gram(10, 20, 5)
         n_dims, n_users = 10 ** 6, 2 * 10 ** 6
         tracemalloc.start()
@@ -145,7 +146,7 @@ class TestDrawGram:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * n_users + 8 * n_dims + (1 << 20)
+        assert peak < 8 * n_dims + (2 << 20)
 
 
 # ----------------------------------------------------------------------
@@ -276,6 +277,36 @@ class TestEmpiricalOptSe:
         gram = GramDiagonal(values=np.array([1.0]))
         with pytest.raises(DomainError):
             empirical_opt_se(gram, -1.0)
+
+    def test_chunk_sums_match_an_exact_sum(self):
+        gram = draw_gram(200_000, 300_000, 8)
+        exact = math.fsum(np.log1p(10.0 * gram.values).tolist()) / (gram.n_dims * LN2)
+        assert empirical_opt_se(gram, 10.0) == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+    def test_sums_the_spectrum_one_chunk_at_a_time(self):
+        # one 512 kB scratch chunk on top of the 8 MB spectrum; the
+        # whole-array log-sum took two spectrum-long temporaries, 16 MB
+        gram = draw_gram(10 ** 6, 10 ** 6, 6)
+        empirical_opt_se(gram, 10.0)
+        tracemalloc.start()
+        try:
+            empirical_opt_se(gram, 10.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_one_draw_estimate_holds_the_spectrum_and_two_chunks(self):
+        # the spectrum, and the chunks of the draw and of the log-sums
+        n_dims = 10 ** 6
+        mc_opt_se(10, 2.0, 1.0, 5)
+        tracemalloc.start()
+        try:
+            mc_opt_se(n_dims, 2.0, 1.0, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_dims + (2 << 20)
 
 
 # ----------------------------------------------------------------------
@@ -424,8 +455,8 @@ class TestMcSumfRate:
 
     @pytest.mark.parametrize("threads", ["1", "2", "5"])
     @pytest.mark.parametrize("args, mean, std_error", [
-        ((10_000, 1.0, 10.0, 2_500_000, 7), 1.650853266435038, 0.0009071318201495276),
-        ((100, 3.0, 10.0, 1234, 5), 1.97762456081995, 0.07147652710422793),
+        ((10_000, 1.0, 10.0, 2_500_000, 7), 1.6491760882204278, 0.0009071569253896835),
+        ((100, 3.0, 10.0, 1234, 5), 1.9962576402450893, 0.07538387295453436),
     ])
     def test_worker_count_leaves_every_bit(self, monkeypatch, threads, args, mean, std_error):
         # the values of the serial block loop; 5 workers exceed the
@@ -444,11 +475,11 @@ class TestMcSumfRate:
             est = mc_sumf_rate(10_000, 1.0, 10.0, 2_500_000, 7)
         finally:
             sys.setswitchinterval(interval)
-        assert (est.mean, est.std_error) == (1.650853266435038, 0.0009071318201495276)
+        assert (est.mean, est.std_error) == (1.6491760882204278, 0.0009071569253896835)
 
     def test_blocks_reuse_the_slot_buffers(self, monkeypatch):
-        # two slots hold a block buffer of 8 MB and an interference chunk
-        # of 0.5 MB each; a block-long temporary would add 8 MB more
+        # two slots hold a chunk of own powers and one of interference,
+        # 0.5 MB each; a block-long buffer would add 8 MB
         monkeypatch.setenv("NOMA_LIMITS_THREADS", "2")
         tracemalloc.start()
         try:
@@ -456,7 +487,7 @@ class TestMcSumfRate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * (8 + 0.5) * (1 << 20) + (1 << 20)
+        assert peak < 2 * (0.5 + 0.5) * (1 << 20) + (1 << 20)
 
 
 class TestCollisionCountLaw:
@@ -569,7 +600,8 @@ class TestEstimatorReference:
         assert mc_sumf_rate(100, 1.0, 0.0, 10, 1).reference == 0.0
 
     def test_one_draw_estimators_read_the_same_draw(self):
-        n_dims, beta, gamma, seed = 5000, 1.5, 10.0, 4
+        # more dimensions than one 65,536-term chunk of the log-sums
+        n_dims, beta, gamma, seed = 70_000, 1.5, 10.0, 4
         gram = gram_diagonal(draw_system(n_dims, round(beta * n_dims), seed))
         opt = mc_opt_se(n_dims, beta, gamma, seed)
         assert opt.mean == pytest.approx(empirical_opt_se(gram, gamma), rel=1e-14)

@@ -306,13 +306,26 @@ class TestPoissonWeightedSum:
             return math.log1p(k)  # |log(1 + k)| <= 1.0 * log(2 + k)
 
         value = poisson_weighted_sum(beta, term, 1.0)
-        # every k >= 1; the weights past k = 20000 are below 1e-300
-        brute = math.fsum(
-            math.exp(-beta + k * math.log(beta) - math.lgamma(k + 1.0)) * math.log1p(k)
-            for k in range(1, 20_001))
+        # the weights outside 8000..12000, 20 standard deviations from the
+        # mode, hold less than 1e-80 of the mass; double-precision weights
+        # share a rounding near 1e-11 and cannot serve as the reference
+        import mpmath
+
+        with mpmath.workdps(30):
+            log_beta = mpmath.log(beta)
+            exact = float(mpmath.fsum(
+                mpmath.exp(-beta + k * log_beta - mpmath.loggamma(k + 1)) * mpmath.log1p(k)
+                for k in range(8000, 12_001)))
         assert len(seen) < 3000
         assert seen == list(range(seen[0], seen[0] + len(seen)))
-        assert value == pytest.approx(brute, rel=1e-13, abs=1e-12)
+        assert value == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("beta", [1e2, 1e3, 3e3, 1e4])
+    def test_window_weights_sum_to_the_mass_above_zero(self, beta):
+        # unnormalised, the window's lgamma weights summed to 1 + 3.8e-14,
+        # 1 - 2.5e-13, 1 - 2.7e-12 and 1 + 8.86e-12 at these loads
+        value = poisson_weighted_sum(beta, lambda k: 1.0, 1.0)
+        assert value == pytest.approx(-math.expm1(-beta), rel=0.0, abs=1e-15)
 
     @pytest.mark.parametrize("beta", [0.5, 2.0, 30.0])
     def test_small_loads_start_at_one(self, beta):

@@ -9,23 +9,29 @@ from pathlib import Path
 import noma_limits
 
 
-def _loads_numpy(module: str) -> bool:
+def _loaded(module: str, names: list[str]) -> list[str]:
+    """Those of ``names`` that a fresh interpreter has loaded after
+    importing ``module``."""
     src = str(Path(noma_limits.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = f"import sys, {module}; sys.exit('numpy' in sys.modules)"
-    return subprocess.run([sys.executable, "-c", code], env=env).returncode != 0
+    code = f"import sys, {module}; print(*(n for n in {names!r} if n in sys.modules))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return run.stdout.split()
 
 
 def test_rate_layer_import_leaves_numpy_unloaded():
     # the package root re-exports nothing, so the pure-Python rate layer
     # loads without numpy and the Monte Carlo lab
-    assert not _loads_numpy("noma_limits.rates")
+    assert _loaded("noma_limits.rates", ["numpy"]) == []
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # only `mc` and `verify` import numpy, the lab and the suite
-    assert not _loads_numpy("noma_limits.cli")
+    # only `mc` and `verify` import numpy, the lab and the suite, so the
+    # `curve` path never loads them
+    lab = ["numpy", "noma_limits.ensemble_lab", "noma_limits.verification"]
+    assert _loaded("noma_limits.cli", lab) == []
 
 
 def test_benchmark_probes_bind_and_restore(monkeypatch):
