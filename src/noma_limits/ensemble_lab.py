@@ -27,6 +27,7 @@ import numpy as np
 
 from .combinatorics import MomentVector
 from .errors import DomainError, FactorizationError
+from .numerics import pmf_window
 from .parallel import thread_count, thread_map
 from .rates import LN2, ChannelPoint, opt_se_ds_fading, opt_se_lds_fading, sumf_rate_lds_fading
 
@@ -289,44 +290,17 @@ def mc_opt_se(n_dims: int, beta: float, gamma: float, seed: int) -> McEstimate:
     return McEstimate(mean / LN2, se / LN2, n_dims, seed, reference)
 
 
-def _pmf_from_mode(mode: int, ratio, last: float, cut: float) -> tuple[int, np.ndarray]:
-    """A unimodal pmf on the counts 0..last, walked outward from its mode.
-
-    ratio(c) = pmf(c + 1) / pmf(c) must fall as c grows.  Terms are taken
-    relative to the mode's, so no factor such as e^(-beta) is formed and
-    nothing underflows; each side stops once a geometric bound on its
-    tail, valid because the ratio only falls away from the mode, drops
-    below ``cut`` times the mode's term.  Returns the first count kept
-    and the kept terms normalized to unit sum.
-    """
-    up, c, w = [], mode, 1.0
-    while c < last:
-        r = ratio(c)
-        if r < 1.0 and w * r < cut * (1.0 - r):
-            break
-        c, w = c + 1, w * r
-        up.append(w)
-    down, c, w = [], mode, 1.0
-    while c > 0:
-        r = 1.0 / ratio(c - 1)
-        if r < 1.0 and w * r < cut * (1.0 - r):
-            break
-        c, w = c - 1, w * r
-        down.append(w)
-    pmf = np.array(down[::-1] + [1.0] + up)
-    return mode - len(down), pmf / pmf.sum()
-
-
 class LsdMixture:
     """Limiting spectral law of the one-sparse fading ensemble at load
     beta: an atom at zero of mass e^(-beta) plus Poisson(beta)-weighted
     unit-rate Erlang components of shapes k >= 1.
 
-    The Poisson weights are walked out from the mode (_pmf_from_mode),
-    so large loads do not underflow; the tails cut on either side hold
-    less than 1e-17 of the mass, and shapes in the lower cut tail keep a
-    zero weight.  Loads above 1e5 are refused: the weights are stored for
-    every shape up to about beta."""
+    The Poisson weights are the numerics.pmf_window walked out from the
+    mode, normalized to unit sum here, so large loads do not underflow;
+    the tail cut on either side holds at most 1e-17 of the mode's
+    weight, and shapes in the lower cut tail keep a zero weight.  Loads
+    above 1e5 are refused: the weights are stored for every shape up to
+    about beta."""
 
     def __init__(self, beta: float):
         if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
@@ -334,8 +308,10 @@ class LsdMixture:
         if beta > 1e5:
             raise DomainError(f"beta must be at most 1e5 for the limiting mixture, got {beta!r}")
         self.beta = float(beta)
-        first, pmf = _pmf_from_mode(int(beta), lambda k: beta / (k + 1), math.inf, 1e-17)
-        weights = np.concatenate([np.zeros(first), pmf])  # indexed by shape, from 0
+        first, window = pmf_window(int(beta), lambda k: beta / (k + 1), math.inf,
+                                   lambda c, tail: tail <= 1e-17)
+        pmf = np.array(window)
+        weights = np.concatenate([np.zeros(first), pmf / pmf.sum()])  # indexed by shape
         self.atom_weight = float(weights[0])
         self.component_weights = weights[1:]
 
@@ -403,12 +379,16 @@ def mc_lsd_distance(n_dims: int, beta: float, seed: int) -> McEstimate:
 
 def _count_law(n: int, p: float) -> tuple[int, np.ndarray]:
     """Binomial(n, p) pmf as (c0, pmf) over the counts c0, c0 + 1, ...
-    that hold all but at most 1e-300 of the mass on each side."""
+    of the numerics.pmf_window whose tails hold at most 1e-300 of the
+    mode's weight on each side, normalized to unit sum."""
     if p == 1.0:
         return n, np.ones(1)
     q = 1.0 - p
-    return _pmf_from_mode(min(n, int((n + 1) * p)),
-                          lambda c: (n - c) * p / ((c + 1) * q), n, 1e-300)
+    first, window = pmf_window(min(n, int((n + 1) * p)),
+                               lambda c: (n - c) * p / ((c + 1) * q), n,
+                               lambda c, tail: tail <= 1e-300)
+    pmf = np.array(window)
+    return first, pmf / pmf.sum()
 
 
 def _sumf_block(rng: np.random.Generator, m: int, own: np.ndarray, scratch: np.ndarray,

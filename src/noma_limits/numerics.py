@@ -2,7 +2,8 @@
 
 Provides the exponentially scaled exponential integral e^x E_n(x) of
 integer order, adaptive Gauss-Kronrod quadrature on finite and
-semi-infinite intervals, Poisson-weighted series with a certified
+semi-infinite intervals, the window of a unimodal pmf walked out from
+its mode, Poisson-weighted series over that window with a certified
 truncation bound, and a bracketed root finder (Brent's method).
 
 Every routine is a pure function of its arguments; the only module
@@ -26,6 +27,7 @@ __all__ = [
     "exp_integral_en_scaled",
     "integrate_interval",
     "integrate_semi_infinite",
+    "pmf_window",
     "poisson_weighted_sum",
     "find_root_bracketed",
 ]
@@ -35,6 +37,7 @@ _EPS = 2.220446049250313e-16
 _TINY = 1e-300
 _SUBNORMAL_MIN = 5e-324  # smallest positive double
 _POISSON_MAX_TERMS = 10_000  # about 1e7 would lie in the window at beta = 1e12
+_POISSON_CUT = 1e-17  # tail weight left out on each side, relative to the mode's
 _QUAD_MAX_EVALS = 200_000  # per call; the test suite's largest call takes 810
 _ROOT_MAX_EVALS = 200_000  # per Brent call; the test suite's largest takes 40
 
@@ -338,13 +341,44 @@ def integrate_semi_infinite(f: Callable[[float], float],
 
 
 # ----------------------------------------------------------------------
-# Poisson-weighted series
+# Poisson and binomial windows
 # ----------------------------------------------------------------------
 
-def _lower_tail_bound(beta: float, log_beta: float, m: int, growth: float) -> float:
-    # P[K <= m] <= e^(-beta) (e beta / m)^m for m < beta, times the
-    # largest certified |term(k)| over k <= m; increases with m below beta
-    return math.exp(-beta + m * (1.0 + log_beta - math.log(m))) * growth * math.log(2.0 + m)
+def pmf_window(mode: int, ratio: Callable[[int], float], last: float,
+               negligible: Callable[[int, float], bool],
+               max_terms: float = math.inf) -> tuple[int, list[float]]:
+    """The counts of a unimodal pmf on 0..last that hold all but a
+    negligible tail on each side, walked outward from the mode.
+
+    ratio(c) = pmf(c + 1) / pmf(c) must fall as c grows.  Weights are
+    taken relative to the mode's, so no factor such as e^(-beta) is
+    formed and nothing underflows.  Once the ratio r at a count c on the
+    way out is below 1 it only falls further, so the weights beyond c
+    sum to at most w(c) r / (1 - r); each side stops at the first c for
+    which negligible(c, that bound) is true.  A bound that underflows
+    is 0.  A window that would hold more than ``max_terms`` counts
+    raises NonConvergenceError.
+
+    Returns the first count kept and the kept weights in ascending count
+    order, relative to the mode's weight of 1 and not normalized.
+    """
+
+    def side(step: int, end: float, room: float) -> list[float]:
+        kept, c, w = [], mode, 1.0
+        while c != end:
+            r = ratio(c) if step > 0 else 1.0 / ratio(c - 1)
+            if r < 1.0 and negligible(c, w * r / (1.0 - r)):
+                break
+            if len(kept) >= room:
+                raise NonConvergenceError(
+                    f"pmf window still above its cut after {max_terms} terms")
+            c, w = c + step, w * r
+            kept.append(w)
+        return kept
+
+    up = side(1, last, max_terms - 1)
+    down = side(-1, 0, max_terms - 1 - len(up))
+    return mode - len(down), down[::-1] + [1.0] + up
 
 
 def poisson_weighted_sum(beta: float, term: Callable[[int], float],
@@ -353,55 +387,38 @@ def poisson_weighted_sum(beta: float, term: Callable[[int], float],
     """Sum of e^(-beta) beta^k / k! * term(k) over k >= 1.
 
     The caller certifies |term(k)| <= term_growth_bound * log(2 + k).
-    Only a window around the mode is summed, so the cost grows like
-    sqrt(beta) rather than beta.  The terms k <= m below the mode are
-    skipped for the largest m < beta whose Chernoff bound on P[K <= m],
-    times the largest term below it, is at most ``tol.abs / 2``; m is
-    found by bisection, as the bound increases with m.  Summation stops
-    once a Chernoff bound on the upper tail mass, multiplied by a
-    geometric-envelope bound on the remaining weighted terms, falls
-    below the other half of ``tol.abs``.  More than 10,000 terms raise
-    NonConvergenceError.
+    The weights are a pmf_window walked out from the mode by the ratios
+    beta / (k + 1), so the cost grows like sqrt(beta) rather than beta.
+    A side is cut where its tail weight is at most 1e-17 of the mode's
+    and the part of the sum it leaves out is at most ``tol.abs / 2``.
+    Past a count c where a side stops, with ratio r, that part is at
+    most the tail weight times term_growth_bound *
+    (log(2 + c) + 1 / ((1 - r) (2 + c))), as log(2 + k) is at most
+    log(2 + c) + |k - c| / (2 + c); a side stops only where
+    (1 - r) (2 + c) >= 1, so the factor is at most
+    term_growth_bound * (log(2 + c) + 1).  The mode's weight is at most
+    1, so cuts relative to it are conservative.
 
-    The window's sum is scaled by 1 - e^(-beta) over the window's own
-    weight sum.  Every weight near the mode carries the same rounding
-    of k ln(beta) - lgamma(k + 1), about 1e-11 relative at beta = 1e4,
-    and the ratio cancels it; the tails left out change the result by
-    no more than the tolerance they were cut at.
+    The weights are normalized over the whole window, k = 0 included
+    when the window reaches it.  Then term(k) is called once for each
+    k >= 1 of the window, in ascending order.  A window of more than
+    10,000 terms raises NonConvergenceError before any term is called.
     """
     _require_positive_finite("beta", beta)
     if not (isinstance(term_growth_bound, (int, float))
             and math.isfinite(term_growth_bound) and term_growth_bound >= 0):
         raise DomainError(f"term_growth_bound must be nonnegative, got {term_growth_bound!r}")
-    log_beta = math.log(beta)
     tail_tol = 0.5 * tol.abs
-    # largest m < beta with a skippable lower tail; 0 skips nothing
-    lo, hi = 0, math.ceil(beta) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _lower_tail_bound(beta, log_beta, mid, term_growth_bound) <= tail_tol:
-            lo = mid
-        else:
-            hi = mid - 1
-    total = mass = 0.0
-    k = lo
-    while True:
-        k += 1
-        if k - lo > _POISSON_MAX_TERMS:
-            raise NonConvergenceError(
-                f"Poisson series at load {beta} still above tolerance after {k - 1 - lo} terms")
-        weight = math.exp(-beta + k * log_beta - math.lgamma(k + 1.0))
-        mass += weight
-        total += weight * term(k)
-        if k <= beta:
-            continue
-        nxt = k + 1
-        # tail mass above nxt-1, i.e. P[K >= nxt] <= e^(-beta) (e beta / nxt)^nxt
-        chernoff = math.exp(-beta + nxt * (1.0 + log_beta - math.log(nxt)))
-        r = beta / (nxt + 1.0)
-        envelope = term_growth_bound * (math.log(2.0 + nxt) / (1.0 - r) + r / (1.0 - r) ** 2)
-        if chernoff * envelope <= tail_tol:
-            return total * -math.expm1(-beta) / mass
+
+    def negligible(c: int, tail: float) -> bool:
+        return (tail <= _POISSON_CUT
+                and tail * term_growth_bound * (math.log(2.0 + c) + 1.0) <= tail_tol)
+
+    first, weights = pmf_window(int(beta), lambda k: beta / (k + 1), math.inf, negligible,
+                                _POISSON_MAX_TERMS)
+    start = max(first, 1)  # k = 0 has no term
+    total = math.fsum([w * term(k) for k, w in enumerate(weights[start - first:], start)])
+    return total / math.fsum(weights)
 
 
 # ----------------------------------------------------------------------

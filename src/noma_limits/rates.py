@@ -75,8 +75,11 @@ __all__ = [
 LN2 = math.log(2.0)
 _LN3 = math.log(3.0)
 # the largest load and SNR a rate route accepts: every route is checked
-# up to both; beyond 1e4 the Poisson weights overflow and the dense fixed
-# point rounds to zero, and near 1e307 the MMSE SINR and the series overflow
+# up to both.  Nothing overflows just above 1e4 (the sparse series match
+# laplace_rate to 4e-14 at 1e5), but the Poisson window reaches its
+# 10,000-term cap near 2.9e5, and the dense fading efficiency drifts from
+# mpmath like beta * eps (6.5e-11 at 1e6, 5.6e-9 at 1e8).  Near 1e307 the
+# MMSE SINR and the series overflow.
 _MAX_LOAD = 1e4
 _MAX_SNR = 1e303
 

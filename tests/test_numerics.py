@@ -17,6 +17,7 @@ from noma_limits.numerics import (
     find_root_bracketed,
     integrate_interval,
     integrate_semi_infinite,
+    pmf_window,
     poisson_weighted_sum,
 )
 
@@ -339,13 +340,63 @@ class TestPoissonWeightedSum:
         seen = []
         with pytest.raises(NonConvergenceError, match="after 10000 terms"):
             poisson_weighted_sum(1e12, lambda k: seen.append(k) or 1.0, 1.0)
-        assert len(seen) == 10_000
+        assert seen == []
+
+    def test_cap_counts_both_sides_of_the_window(self):
+        # about 5,800 terms lie in the window at 1e5 and about 18,700 at
+        # 1e6, some 9,350 on each side of the mode: neither side alone
+        # reaches the cap
+        seen = []
+        value = poisson_weighted_sum(1e5, lambda k: seen.append(k) or 1.0, 1.0)
+        assert value == 1.0 and len(seen) < 10_000
+        seen.clear()
+        with pytest.raises(NonConvergenceError, match="after 10000 terms"):
+            poisson_weighted_sum(1e6, lambda k: seen.append(k) or 1.0, 1.0)
+        assert seen == []
+
+    @pytest.mark.parametrize("beta", [0.5, 10.0, 1e3])
+    def test_zero_absolute_tolerance_stops_where_the_tail_underflows(self, beta):
+        seen = []
+        value = poisson_weighted_sum(beta, lambda k: seen.append(k) or 1.0, 1.0,
+                                     Tolerance(abs=0.0))
+        assert value == pytest.approx(-math.expm1(-beta), rel=0.0, abs=1e-15)
+        assert len(seen) < 10_000
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
             poisson_weighted_sum(0.0, lambda k: 1.0, 1.0)
         with pytest.raises(DomainError):
             poisson_weighted_sum(1.0, lambda k: 1.0, -1.0)
+
+
+class TestPmfWindow:
+    @pytest.mark.parametrize("beta", [0.3, 7.5, 400.0])
+    def test_each_cut_tail_is_below_its_bound(self, beta):
+        def pmf(k):
+            return math.exp(-beta + k * math.log(beta) - math.lgamma(k + 1.0))
+
+        cut = 1e-12
+        first, weights = pmf_window(int(beta), lambda k: beta / (k + 1), math.inf,
+                                    lambda c, tail: tail <= cut)
+        last = first + len(weights) - 1
+        assert weights[int(beta) - first] == 1.0
+        below = math.fsum(pmf(k) for k in range(first))
+        above = math.fsum(pmf(k) for k in range(last + 1, last + 400))
+        assert below <= cut * pmf(int(beta)) and above <= cut * pmf(int(beta))
+        # at the count before the last the geometric bound on the upper
+        # tail, w(last) / (1 - r), was still above the cut
+        assert weights[-1] / (1.0 - beta / last) > cut
+
+    def test_cap_raises_during_the_walk(self):
+        calls = []
+
+        def ratio(c):
+            calls.append(c)
+            return 1e6 / (c + 1)
+
+        with pytest.raises(NonConvergenceError, match="after 50 terms"):
+            pmf_window(1_000_000, ratio, math.inf, lambda c, tail: tail <= 1e-17, 50)
+        assert len(calls) <= 50
 
 
 # ----------------------------------------------------------------------
