@@ -20,7 +20,10 @@ for a given seed no matter how calls are scheduled across threads.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +65,23 @@ _MAX_DRAW = 1 << 24
 # far below the 2^48 block indices a key holds
 _MAX_SAMPLES = 10**12
 _MAX_TRIALS = 10**6
+# largest Gram side, min(N, K), whose log-det trials run on one BLAS
+# thread.  Per trial on 2 CPUs (numpy 2.4.6, OpenBLAS 0.3.31), threaded
+# against one thread: N = 256 took 0.94 against 0.81 ms at beta = 0.5
+# and 4.07 against 2.98 ms at beta = 2, side 256 at N = 512 took 2.98
+# against 2.70 ms; side 512 took 13.5 against 18.3 ms and side 2048
+# 362 against 443 ms, so larger Grams keep the threads
+_ONE_BLAS_THREAD_SIDE = 256
+# OpenBLAS's (get, set) thread-count symbols: numpy 2.x wheels, numpy
+# 1.2x wheels, a system OpenBLAS
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+# held while the BLAS thread count is lowered, so that concurrent
+# callers restore the count they found
+_BLAS_LOCK = threading.Lock()
 
 # stream tags keep independent estimators on disjoint key spaces
 _STREAM_SYSTEM = 1
@@ -512,6 +532,49 @@ def _logdet_capacity(received: np.ndarray, gamma: float) -> float:
     return float(2.0 * np.sum(np.log2(np.diagonal(chol))) / n_dims)
 
 
+@functools.cache
+def _blas_thread_control():
+    """OpenBLAS's (get, set) thread-count functions, looked up once in
+    numpy's linalg extension, whose symbol lookup also searches the BLAS
+    library it links; None where numpy's BLAS has no such functions
+    (MKL, Accelerate, Windows)."""
+    import ctypes
+
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+        try:
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread(side: int):
+    """Hold numpy's BLAS at one thread while a Gram of this side is at
+    most _ONE_BLAS_THREAD_SIDE, then restore the count it had.  The count
+    is process-wide, so it is lowered under _BLAS_LOCK and restored in a
+    finally clause."""
+    control = _blas_thread_control() if side <= _ONE_BLAS_THREAD_SIDE else None
+    if control is None:
+        yield
+        return
+    get, set_ = control
+    with _BLAS_LOCK:
+        before = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(before)
+
+
 def mc_ds_fading_logdet(n_dims: int, beta: float, gamma: float, n_trials: int,
                         seed: int) -> McEstimate:
     """Monte Carlo optimum-decoding rate of dense spreading under fading
@@ -522,10 +585,24 @@ def mc_ds_fading_logdet(n_dims: int, beta: float, gamma: float, n_trials: int,
     raises DomainError.  Fading coefficients h are standard complex
     Gaussian; only the received powers |h|^2, unit-mean exponential,
     enter the log-det, so the received signatures +-|h|/sqrt(N) are
-    formed directly from the two normal draws.  The trials run serially:
-    the Gram and the factorization already use the BLAS threads.  A
-    failed factorization raises FactorizationError; it is never retried
-    or jittered.  The reference is the limit opt_se_ds_fading.
+    formed directly from the two normal draws.  A failed factorization
+    raises FactorizationError; it is never retried or jittered.  The
+    reference is the limit opt_se_ds_fading.
+
+    The trials run serially.  Where the Gram's side min(N, K) is at most
+    256 (_ONE_BLAS_THREAD_SIDE), they run with numpy's BLAS held at one
+    thread: BLAS threads on Grams that small cost CPU and save no wall
+    time (at N = 256 they doubled the CPU of a trial).  Larger Grams
+    keep the threads, which pay there.  The thread count is
+    process-wide: it is lowered under a module lock, so a concurrent
+    caller waits, and restored to its previous value when the trials
+    end or raise.  Where numpy's BLAS is not an OpenBLAS with a thread
+    control, the threads are left as they are.  The BLAS thread count
+    can change the last bits of a trial: OpenBLAS's threaded
+    factorization rounds differently from its serial one (up to 4e-16
+    relative per trial at N = 128 and 256).  So below the cut the
+    estimate's bits do not depend on the machine's thread count, and
+    above it they may.
     """
     n_dims = _check_size("n_dims", n_dims, hi=2048)
     n_trials = _check_size("n_trials", n_trials, _MAX_TRIALS)
@@ -541,18 +618,19 @@ def mc_ds_fading_logdet(n_dims: int, beta: float, gamma: float, n_trials: int,
     n_chips = n_dims * n_users
     scale = 1.0 / math.sqrt(n_dims)
     vals = np.empty(n_trials)
-    for trial in range(n_trials):
-        rng = _generator(seed, _STREAM_DS, trial)
-        chips = np.frombuffer(rng.bytes(-(-n_chips // 8)), dtype=np.uint8)
-        signs = np.unpackbits(chips, count=n_chips).reshape(n_dims, n_users).view(np.int8)
-        signs *= 2
-        signs -= 1
-        re = rng.standard_normal(n_users)
-        im = rng.standard_normal(n_users)
-        amplitude = np.sqrt(0.5 * (re * re + im * im)) * scale
-        # bit b gives (2b - 1) |h| / sqrt(N), exactly
-        received = np.multiply(signs, amplitude)
-        vals[trial] = _logdet_capacity(received, gamma)
+    with _one_blas_thread(min(n_dims, n_users)):
+        for trial in range(n_trials):
+            rng = _generator(seed, _STREAM_DS, trial)
+            chips = np.frombuffer(rng.bytes(-(-n_chips // 8)), dtype=np.uint8)
+            signs = np.unpackbits(chips, count=n_chips).reshape(n_dims, n_users).view(np.int8)
+            signs *= 2
+            signs -= 1
+            re = rng.standard_normal(n_users)
+            im = rng.standard_normal(n_users)
+            amplitude = np.sqrt(0.5 * (re * re + im * im)) * scale
+            # bit b gives (2b - 1) |h| / sqrt(N), exactly
+            received = np.multiply(signs, amplitude)
+            vals[trial] = _logdet_capacity(received, gamma)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0
     return McEstimate(mean=mean, std_error=se, n_samples=n_trials, seed=seed,

@@ -8,12 +8,18 @@ where numpy's generator fills and ufuncs release the GIL.  Unset, empty,
 or 0 means one worker per CPU this process may run on; 1 forces serial
 execution.  Results are always reduced in input order, or by an exactly
 rounded sum, so the thread count never changes any output bit.
+
+The thread pool is imported only when a map runs on more than one
+worker, so importing the CLI loads neither ``concurrent.futures`` nor
+the ``logging`` it pulls in.  numpy's BLAS threads are not these
+workers and this variable does not set them; the dense log-det
+(``ensemble_lab.mc_ds_fading_logdet``) holds them at one for its small
+Grams.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import DomainError
@@ -53,5 +59,7 @@ def thread_map(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
     workers = min(thread_count(), len(seq))
     if workers <= 1:
         return [fn(x) for x in seq]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, seq))

@@ -114,17 +114,21 @@ class CheckResult:
 class VerifyReport:
     """Outcome of a suite run; overall is the AND of all passed flags.
     ``criterion_time_s`` maps each criterion run, by key, to its wall
-    time in seconds."""
+    time in seconds, and ``criterion_cpu_s``, keyed the same way, to the
+    CPU seconds the process spent in it, summed over all its threads
+    (BLAS and worker threads included)."""
 
     checks: tuple[CheckResult, ...]
     overall: bool
     seeds: tuple[int, ...]
     wall_time_s: float
     criterion_time_s: dict[str, float]
+    criterion_cpu_s: dict[str, float]
 
     def to_json(self) -> str:
         payload = {
             "checks": [c.as_dict() for c in self.checks],
+            "criterion_cpu_s": self.criterion_cpu_s,
             "criterion_time_s": self.criterion_time_s,
             "overall": self.overall,
             "seeds": list(self.seeds),
@@ -558,15 +562,18 @@ def run_suite(suite: str = "fast", seed: int = DEFAULT_SEED) -> VerifyReport:
     start = time.perf_counter()
     checks: list[CheckResult] = []
     times: dict[str, float] = {}
+    cpu: dict[str, float] = {}
     for criterion in CRITERIA:
         if suite == "fast" and criterion.suite != "fast":
             continue
-        begin = time.perf_counter()
+        begin, begin_cpu = time.perf_counter(), time.process_time()
         checks.extend(run_criterion(criterion, seed))
         times[criterion.key] = time.perf_counter() - begin
+        cpu[criterion.key] = time.process_time() - begin_cpu
     wall = time.perf_counter() - start
     return VerifyReport(checks=tuple(checks),
                         overall=all(c.passed for c in checks),
                         seeds=(seed,),
                         wall_time_s=wall,
-                        criterion_time_s=times)
+                        criterion_time_s=times,
+                        criterion_cpu_s=cpu)

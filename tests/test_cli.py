@@ -761,12 +761,19 @@ class TestVerifyCommand:
         assert all(t >= 0.0 for t in times.values())
         assert sum(times.values()) <= report["wall_time_s"]
 
+    def test_records_cpu_time_per_criterion(self, fast_verify_run):
+        report = json.loads(fast_verify_run[1])
+        cpu = report["criterion_cpu_s"]
+        assert sorted(cpu) == sorted(report["criterion_time_s"])
+        assert all(t >= 0.0 for t in cpu.values())
+
     def test_fast_suite_is_deterministic(self, capsys, fast_verify_run):
         _, first = fast_verify_run
         _, second, _ = run_cli(capsys, "verify", "--suite", "fast")
         a, b = json.loads(first), json.loads(second)
         a.pop("wall_time_s"), b.pop("wall_time_s")
         a.pop("criterion_time_s"), b.pop("criterion_time_s")
+        a.pop("criterion_cpu_s"), b.pop("criterion_cpu_s")
         assert a == b
 
     def test_seed_is_echoed(self, capsys):

@@ -3,6 +3,8 @@
 import math
 import re
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -780,6 +782,126 @@ class TestMcDsFadingLogdet:
         with pytest.raises(FactorizationError):
             mc_ds_fading_logdet(8, 1.0, 1.0, 5, 0)
         assert calls["n"] == 1
+
+
+# ----------------------------------------------------------------------
+# One BLAS thread for the log-det's small Grams
+# ----------------------------------------------------------------------
+
+_BLAS = ensemble_lab._blas_thread_control()
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The BLAS thread count set to two for the test, so that lowering
+    it shows on a one-CPU machine too; yields the count read back, and
+    restores the count found."""
+    get, set_ = _BLAS
+    found = get()
+    set_(2)
+    try:
+        yield get()
+    finally:
+        set_(found)
+
+
+@pytest.mark.skipif(_BLAS is None, reason="numpy's BLAS has no OpenBLAS thread-count functions")
+class TestOneBlasThread:
+    @staticmethod
+    def spy_on_threads(monkeypatch, pause: float = 0.0) -> list[int]:
+        """The BLAS thread count at each trial's log-det, which waits
+        ``pause`` seconds after reading it."""
+        seen = []
+        logdet = ensemble_lab._logdet_capacity
+
+        def spy(received, gamma):
+            seen.append(_BLAS[0]())
+            time.sleep(pause)
+            return logdet(received, gamma)
+
+        monkeypatch.setattr(ensemble_lab, "_logdet_capacity", spy)
+        return seen
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    def test_small_grams_run_on_one_thread(self, monkeypatch, two_blas_threads, beta):
+        seen = self.spy_on_threads(monkeypatch)
+        mc_ds_fading_logdet(256, beta, 10.0, 3, 0)
+        assert seen == [1, 1, 1]
+        assert _BLAS[0]() == two_blas_threads
+
+    def test_side_512_keeps_the_threads(self, monkeypatch, two_blas_threads):
+        seen = self.spy_on_threads(monkeypatch)
+        mc_ds_fading_logdet(512, 1.0, 10.0, 1, 0)
+        assert seen == [two_blas_threads]
+        assert _BLAS[0]() == two_blas_threads
+
+    def test_failed_factorization_restores_the_count(self, monkeypatch, two_blas_threads):
+        def broken_cholesky(_matrix):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", broken_cholesky)
+        with pytest.raises(FactorizationError):
+            mc_ds_fading_logdet(64, 1.0, 1.0, 3, 0)
+        assert _BLAS[0]() == two_blas_threads
+
+    def test_concurrent_callers_restore_the_count(self, monkeypatch, two_blas_threads):
+        # more callers than CPUs, switching often, pausing 1 ms in each
+        # of 8 trials and starting 1 ms apart, so all are in their trials
+        # before the first ends: without the lock, the first caller
+        # restores the threads under the others, and the last to end
+        # leaves the count at one
+        seen = self.spy_on_threads(monkeypatch, pause=1e-3)
+        expected = [mc_ds_fading_logdet(64, 1.0, 10.0, 8, seed) for seed in range(4)]
+        seen.clear()
+        results = [None] * 4
+        start = threading.Barrier(4)
+
+        def call(seed):
+            start.wait(timeout=10)
+            time.sleep(1e-3 * seed)
+            results[seed] = mc_ds_fading_logdet(64, 1.0, 10.0, 8, seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=call, args=(seed,)) for seed in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert results == expected
+        assert seen == [1] * 32
+        assert _BLAS[0]() == two_blas_threads
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    def test_estimate_does_not_depend_on_the_thread_count_found(self, two_blas_threads, beta):
+        get, set_ = _BLAS
+        threaded = mc_ds_fading_logdet(256, beta, 10.0, 20, 5)
+        set_(1)
+        try:
+            serial = mc_ds_fading_logdet(256, beta, 10.0, 20, 5)
+        finally:
+            set_(two_blas_threads)
+        assert threaded == serial
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    def test_no_thread_control_gives_the_same_estimate(self, monkeypatch, two_blas_threads,
+                                                        beta):
+        # without the lookup the trials run on the threads found, and
+        # OpenBLAS's threaded factorization may round a trial's log-det
+        # differently in its last bits, so the estimate agrees to rounding
+        normal = mc_ds_fading_logdet(256, beta, 10.0, 20, 5)
+        monkeypatch.setattr(ensemble_lab, "_blas_thread_control", lambda: None)
+        seen = self.spy_on_threads(monkeypatch)
+        unscoped = mc_ds_fading_logdet(256, beta, 10.0, 20, 5)
+        assert seen == [two_blas_threads] * 20
+        assert unscoped.mean == pytest.approx(normal.mean, rel=1e-15)
+        assert unscoped.std_error == pytest.approx(normal.std_error, rel=1e-14)
+        assert (unscoped.n_samples, unscoped.seed, unscoped.reference) == (
+            normal.n_samples, normal.seed, normal.reference)
 
 
 # ----------------------------------------------------------------------

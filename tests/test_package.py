@@ -34,6 +34,14 @@ def test_cli_import_leaves_numpy_unloaded():
     assert _loaded("noma_limits.cli", lab) == []
 
 
+def test_cli_import_leaves_the_pool_and_ctypes_unloaded():
+    # `curve` pays for every module on this path at each start: the
+    # thread pool is imported only by a map on several workers, and
+    # ctypes only by the lab's BLAS thread lookup
+    heavy = ["concurrent.futures", "ctypes", "numpy"]
+    assert _loaded("noma_limits.cli", heavy) == []
+
+
 def test_benchmark_probes_bind_and_restore(monkeypatch):
     # the benchmark's probes wrap names bound in rates, cli, verification
     # and parallel; a renamed one would otherwise fail only in traced runs
