@@ -58,7 +58,6 @@ __all__ = [
     "opt_se_lds_nofading",
     "opt_se_lds_fading",
     "laplace_rate",
-    "f_transform",
     "opt_se_ds_nofading",
     "mmse_se_ds_nofading",
     "mmse_efficiency_ds_fading",
@@ -77,9 +76,9 @@ _LN3 = math.log(3.0)
 # the largest load and SNR a rate route accepts: every route is checked
 # up to both.  Nothing overflows just above 1e4 (the sparse series match
 # laplace_rate to 4e-14 at 1e5), but the Poisson window reaches its
-# 10,000-term cap near 2.9e5, and the dense fading efficiency drifts from
-# mpmath like beta * eps (6.5e-11 at 1e6, 5.6e-9 at 1e8).  Near 1e307 the
-# MMSE SINR and the series overflow.
+# 10,000-term cap near 2.9e5; the dense fading efficiency stays within
+# 1.7e-15 of mpmath at 1e6 and 1e8.  Near 1e307 the MMSE SINR and the
+# series overflow.
 _MAX_LOAD = 1e4
 _MAX_SNR = 1e303
 
@@ -167,7 +166,8 @@ class MmseEfficiency:
 
     ``value`` lies in the closed range [max(0, 1 - beta), 1]: an end is
     returned when the root lies within rounding of it.  ``residual`` is the
-    magnitude of the fixed-point equation at the returned value.
+    magnitude of the fixed-point residual at the returned value, in the
+    form that :func:`mmse_efficiency_ds_fading` solves there.
     """
 
     value: float
@@ -361,66 +361,55 @@ def laplace_rate(scheme: SchemeSpec, point: ChannelPoint,
 
 
 # ----------------------------------------------------------------------
-# Dense spreading, no fading
+# Dense spreading: one efficiency pair (x, 1 - x)
 # ----------------------------------------------------------------------
 
-def f_transform(x: float, z: float) -> float:
-    """(sqrt(x(1+sqrt z)^2 + 1) - sqrt(x(1-sqrt z)^2 + 1))^2, evaluated
-    in a difference-free form that stays accurate as x -> 0."""
-    for name, v in (("x", x), ("z", z)):
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
-            raise DomainError(f"{name} must be a nonnegative finite real, got {v!r}")
-    if x == 0.0 or z == 0.0:
-        return 0.0
-    rz = math.sqrt(z)
-    hi = math.sqrt(x * (1.0 + rz) ** 2 + 1.0)
-    lo = math.sqrt(x * (1.0 - rz) ** 2 + 1.0)
-    ratio = 4.0 * x * rz / (hi + lo)
-    return ratio * ratio
+def _divergence(x: float, d: float) -> float:
+    """D(d) = -d - ln(1 - d) = x - 1 - ln x >= 0 at d = 1 - x: each
+    optimum rate is its MMSE rate plus D/ln 2 (Verdu & Shamai, IEEE T-IT
+    45(2), 1999), so it is never below it.  D is the series of d^k/k,
+    k >= 2, below d = 1e-3 (the terms from k = 8 on are below 3e-19 of
+    it), and x - 1 - ln x once d >= 1/2, where ln x keeps a tiny x."""
+    if d >= 0.5:
+        return x - 1.0 - math.log(x)
+    if d >= 1e-3:
+        return -d - math.log1p(-d)
+    return d * d * (1 / 2 + d * (1 / 3 + d * (1 / 4 + d * (1 / 5 + d * (1 / 6 + d / 7)))))
 
 
 def _mmse_sinr(gamma: float, b: float) -> float:
-    """gamma - F(gamma, beta)/4 for b = 1 + (beta - 1) gamma: the MMSE
-    SINR, i.e. the positive root of s^2 + b s - gamma = 0 (Tse & Hanly,
-    1999).  The root is taken in whichever form adds terms of one sign,
-    so nothing cancels at any SNR; hypot keeps b^2 from overflowing."""
+    """The MMSE SINR without fading for b = 1 + (beta - 1) gamma: the
+    positive root of s^2 + b s - gamma = 0 (Tse & Hanly, 1999).  The
+    root is taken in whichever form adds terms of one sign, so nothing
+    cancels at any SNR; hypot keeps b^2 from overflowing."""
     r = math.hypot(b, 2.0 * math.sqrt(gamma))
     return 2.0 * gamma / (b + r) if b >= 0.0 else 0.5 * (r - b)
+
+
+def _ds_nofading_parts(point: ChannelPoint) -> tuple[float, float, float]:
+    """x = s/gamma, 1 - x = beta s/(1 + s) and the MMSE rate beta log2(1 + s),
+    s the MMSE SINR, as s(1 + s) = gamma (1 - (beta - 1) s).  In Verdu &
+    Shamai's optimum rate, ln(1 + beta gamma - F/4) = -ln x, F/(4 gamma) = 1 - x."""
+    beta, gamma = point.beta, point.gamma
+    s = _mmse_sinr(gamma, 1.0 + (beta - 1.0) * gamma)
+    return s / gamma, beta * s / (1.0 + s), beta * math.log1p(s) / LN2
 
 
 @_rate_route
 def opt_se_ds_nofading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> RateValue:
     """Optimum-decoding spectral efficiency of dense random spreading
-    with unit gains (the classic square-root-law closed form)."""
-    beta, gamma = point.beta, point.gamma
-    # beta gamma - F/4 is the same root with (gamma, beta) -> (beta gamma, 1/beta)
-    value = (beta * math.log1p(_mmse_sinr(gamma, 1.0 + (beta - 1.0) * gamma))
-             + math.log1p(_mmse_sinr(beta * gamma, 1.0 + (1.0 - beta) * gamma))
-             - f_transform(gamma, beta) / (4.0 * gamma)) / LN2
-    return RateValue(max(0.0, value), 8.0 * 2.220446049250313e-16 * abs(value))
+    with unit gains: the MMSE rate plus D(1 - x)/ln 2."""
+    x, d, mmse = _ds_nofading_parts(point)
+    value = mmse + _divergence(x, d) / LN2
+    return RateValue(value, 8.0 * 2.220446049250313e-16 * value)
 
 
 @_rate_route
 def mmse_se_ds_nofading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> RateValue:
     """Linear-MMSE spectral efficiency of dense random spreading with
-    unit gains: beta * log2(1 + gamma - F/4)."""
-    beta, gamma = point.beta, point.gamma
-    value = beta * math.log1p(_mmse_sinr(gamma, 1.0 + (beta - 1.0) * gamma)) / LN2
-    return RateValue(max(0.0, value), 8.0 * 2.220446049250313e-16 * abs(value))
-
-
-# ----------------------------------------------------------------------
-# Dense spreading, Rayleigh fading
-# ----------------------------------------------------------------------
-
-def _shrinkage(s: float) -> float:
-    # E[1/(1 + s Z)] for unit-rate exponential Z; it is z e^z E_1(z) at
-    # z = 1/s, which is 1 - s + 2 s^2 - ..., so 1 - s below 1e-17, where
-    # 1/s could also overflow
-    if s < 1e-17:
-        return 1.0 - s
-    z = 1.0 / s
-    return z * exp_integral_en_scaled(1, z)
+    unit gains: beta log2(1 + s), s the MMSE SINR."""
+    value = _ds_nofading_parts(point)[2]
+    return RateValue(value, 8.0 * 2.220446049250313e-16 * value)
 
 
 def _efficiency_bracket(beta: float, gamma: float) -> list[float]:
@@ -434,11 +423,20 @@ def _efficiency_bracket(beta: float, gamma: float) -> list[float]:
 def mmse_efficiency_ds_fading(point: ChannelPoint) -> MmseEfficiency:
     """Multiuser efficiency x of the dense MMSE receiver under fading.
 
-    Solves x = 1 - beta + beta * E[1/(1 + x gamma Z)], Z ~ Exp(1).  The
-    residual x + (beta - 1) - beta * E[...] strictly increases in x, as
-    the expectation falls, so it has one root.  Brent's method runs on
-    [a, b], within a factor of about beta * ln(gamma) of the root (at
-    beta >= 1 and huge gamma it lies hundreds of decades below 1):
+    Solves x = 1 - beta + beta * E[1/(1 + x gamma Z)], Z ~ Exp(1), with
+    the residual in one of two forms of the same function, at
+    c = 1/(x gamma), as c e^c E_1(c) = 1 - e^c E_2(c):
+
+    - x - 1 + beta e^c E_2(c) where c > 16.  No term exceeds 1, so it
+      rounds at about eps, not beta eps.  Below x gamma = 1e-17,
+      e^c E_2(c) is x gamma to double precision; 1/(x gamma) can overflow.
+    - x + (beta - 1) - beta c e^c E_1(c) elsewhere, where x can be tiny
+      (1e-49 at beta = 1, gamma = 1e100) and x - 1 would round it away.
+
+    The residual strictly increases in x, as the expectation falls, so
+    it has one root.  Brent's method runs on [a, b], within a factor of
+    about beta * ln(gamma) of the root (at beta >= 1 and huge gamma it
+    lies hundreds of decades below 1):
 
     - a, the no-fading efficiency (the positive root of
       gamma x^2 + (1 + (beta - 1) gamma) x - 1), is a lower bound: by
@@ -460,15 +458,16 @@ def mmse_efficiency_ds_fading(point: ChannelPoint) -> MmseEfficiency:
     beta, gamma = point.beta, point.gamma
     if gamma == 0.0:
         return MmseEfficiency(1.0, 0.0)
-    shift = beta - 1.0
 
     # cached because Brent evaluates the bracket ends again, and its
     # returned root is one of the points it has already evaluated
     @functools.lru_cache(maxsize=None)
     def residual_fn(x: float) -> float:
-        # x is added to beta - 1 rather than 1 subtracted from x: at
-        # beta = 1 the root can be 1e-49, which x - 1.0 would round away
-        return x + shift - beta * _shrinkage(x * gamma)
+        s = x * gamma
+        if s < 1.0 / 16.0:
+            return x - 1.0 + beta * (s if s < 1e-17 else exp_integral_en_scaled(2, 1.0 / s))
+        z = 1.0 / s
+        return x + (beta - 1.0) - beta * (z * exp_integral_en_scaled(1, z))
 
     # the width test alone decides: an absolute residual floor would
     # accept x ~ 1e-12 where the root is x ~ 1e-49
@@ -488,28 +487,26 @@ def mmse_efficiency_ds_fading(point: ChannelPoint) -> MmseEfficiency:
     return MmseEfficiency(x, abs(residual_fn(x)))
 
 
-def _ds_fading_parts(point: ChannelPoint) -> tuple[float, float]:
-    """The multiuser efficiency x and the MMSE rate
-    beta/ln2 * e^z E_1(z) at z = 1/(gamma x)."""
+def _ds_fading_parts(point: ChannelPoint) -> tuple[float, float, float]:
+    """x, 1 - x and the MMSE rate beta/ln2 * e^z E_1(z) at z = 1/(gamma x)."""
     x = mmse_efficiency_ds_fading(point).value
-    return x, point.beta / LN2 * exp_integral_en_scaled(1, 1.0 / (point.gamma * x))
+    return x, 1.0 - x, point.beta / LN2 * exp_integral_en_scaled(1, 1.0 / (point.gamma * x))
 
 
 @_rate_route
 def mmse_se_ds_fading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> RateValue:
     """Linear-MMSE spectral efficiency of dense spreading under fading:
     beta/ln2 * e^z E_1(z) at z = 1/(gamma x), x the multiuser efficiency."""
-    _, value = _ds_fading_parts(point)
+    _, _, value = _ds_fading_parts(point)
     return RateValue(value, tol.abs + tol.rel * value)
 
 
 @_rate_route
 def opt_se_ds_fading(point: ChannelPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> RateValue:
     """Optimum-decoding spectral efficiency of dense spreading under
-    fading: the MMSE rate plus the divergence term (x - 1 - ln x)/ln 2
-    at the same multiuser efficiency x."""
-    x, mmse_part = _ds_fading_parts(point)
-    value = mmse_part + (x - 1.0 - math.log(x)) / LN2
+    fading: the MMSE rate plus D(1 - x)/ln 2 at the same x."""
+    x, d, mmse = _ds_fading_parts(point)
+    value = mmse + _divergence(x, d) / LN2
     return RateValue(value, tol.abs + tol.rel * value)
 
 

@@ -365,6 +365,17 @@ class TestLsdMixture:
         assert self._scipy_cdf(mix, np.array([x]))[0] == pytest.approx(expected, rel=1e-15)
         assert mix.cdf(np.array([x]))[0] == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize("beta", [1.0, 100.0, 746.0, 1e4])
+    def test_cdf_error_is_within_its_stated_bound(self, beta):
+        # the docstring's bound, 4e-15 * max(1, beta) absolute, across the
+        # mixture's bulk and at (746, 700) and (1e4, 9800)
+        mix = LsdMixture(beta)
+        spread = 10.0 * math.sqrt(beta)
+        xs = np.concatenate([np.linspace(max(0.0, beta - spread), beta + spread + 10.0, 81),
+                             [700.0, 9800.0]])
+        error = np.max(np.abs(mix.cdf(xs) - self._scipy_cdf(mix, xs)))
+        assert error <= 4e-15 * max(1.0, beta)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
             LsdMixture(0.0)

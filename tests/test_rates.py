@@ -2,8 +2,10 @@
 
 import functools
 import itertools
+import json
 import math
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +32,6 @@ from noma_limits.rates import (
     SUPPORTED_SCHEMES,
     eta_from_gamma,
     eta_min,
-    f_transform,
     gamma_from_eta,
     high_snr_slope,
     laplace_rate,
@@ -49,6 +50,7 @@ from noma_limits.rates import (
 
 ALL_SCHEMES = [SchemeSpec.parse(name) for name in SUPPORTED_SCHEMES]
 SPARSE_SCHEMES = [s for s in ALL_SCHEMES if s.spreading is Spreading.ONE_SPARSE]
+DENSE_NAMES = [s.name for s in ALL_SCHEMES if s.spreading is Spreading.DENSE]
 # every public rate route: the production route of each scheme and the
 # Laplace form of each sparse scheme
 ALL_ROUTES = [pytest.param(route, id=route.__name__) for route in (
@@ -444,28 +446,6 @@ class TestProperties:
 # ----------------------------------------------------------------------
 
 class TestDenseNoFading:
-    def test_f_transform_hand_value(self):
-        # sqrt(2*4+1) - sqrt(0+1) squared
-        assert f_transform(2.0, 1.0) == pytest.approx(4.0, rel=1e-15)
-
-    def test_f_transform_edges(self):
-        assert f_transform(0.0, 1.0) == 0.0
-        assert f_transform(3.0, 0.0) == 0.0
-
-    def test_f_transform_scaling_identity(self):
-        # x z (1 +- 1/sqrt z)^2 = x (sqrt z +- 1)^2, so swapping (x, z)
-        # for (x z, 1/z) leaves the value unchanged
-        for x in (0.3, 2.0, 10.0):
-            for z in (0.25, 1.0, 4.0):
-                assert f_transform(x, z) == pytest.approx(
-                    f_transform(x * z, 1.0 / z), rel=1e-12)
-
-    def test_f_transform_rejects_negatives(self):
-        with pytest.raises(DomainError):
-            f_transform(-1.0, 1.0)
-        with pytest.raises(DomainError):
-            f_transform(1.0, -1.0)
-
     def test_hand_anchors(self):
         point = ChannelPoint(1.0, 2.0)
         assert mmse_se_ds_nofading(point).bits_per_dim == pytest.approx(1.0, abs=1e-12)
@@ -672,6 +652,61 @@ class TestMmseEfficiency:
 
 
 # ----------------------------------------------------------------------
+# Dense spreading: one efficiency pair and one decomposition
+# ----------------------------------------------------------------------
+
+# (scheme, beta, gamma, rate as a 45-digit string), rebuilt by
+# tools/make_dense_anchors.py from mpmath with nothing from noma_limits
+DENSE_MPMATH = json.loads(Path(__file__).with_name("dense_mpmath.json").read_text("utf-8"))
+
+
+class TestDenseEfficiencyPair:
+    @pytest.mark.parametrize("name, beta, gamma, expected", DENSE_MPMATH,
+                             ids=[f"{n}-{b:g}-{g:g}" for n, b, g, _ in DENSE_MPMATH])
+    def test_matches_mpmath(self, name, beta, gamma, expected):
+        tol = Tolerance(rel=1e-13, abs=0.0)
+        rate = spectral_efficiency(SchemeSpec.parse(name), ChannelPoint(beta, gamma), tol)
+        assert rate.bits_per_dim == pytest.approx(float(expected), rel=tol.rel, abs=0.0)
+
+    @pytest.mark.parametrize("d", [0.0, 1e-300, 1e-8, 9.99e-4, 1e-3, 0.3, 0.4999, 0.5, 0.9,
+                                   1.0 - 2.0 ** -40])
+    def test_divergence_matches_mpmath(self, d):
+        import mpmath
+
+        # only the branch from d = 1/2 on reads x, and 1 - d is exact there
+        x = 1.0 - d
+        with mpmath.workdps(50):
+            expected = float(-d - mpmath.log1p(-mpmath.mpf(d)))
+        # within two ulps of -ln x = d + D, the share of the rate D adds to
+        # in nats (the MMSE rate is at least d); between 1e-3 and 1/2,
+        # -d - log1p(-d) loses up to 2/d ulps of D itself
+        assert abs(rates._divergence(x, d) - expected) <= 2 * 2.2e-16 * (d + expected)
+        if d < 1e-3 or d >= 0.5:
+            assert rates._divergence(x, d) == pytest.approx(expected, rel=4e-16, abs=0.0)
+
+    @pytest.mark.parametrize("law", ["nofading", "fading"])
+    def test_optimum_never_below_mmse(self, law):
+        # both optimum routes add a nonnegative D/ln 2 to the MMSE rate
+        # they share, so no tolerance is needed; the three-term formula
+        # fell below MMSE at 7 of these points, by up to 4.3e-16
+        opt, mmse = SchemeSpec.parse(f"ds-opt-{law}"), SchemeSpec.parse(f"ds-mmse-{law}")
+        for beta in (10.0 ** (e / 2) for e in range(-12, 9)):
+            for gamma in (10.0 ** (1.5 * e) for e in range(-8, 201)):
+                point = ChannelPoint(beta, gamma)
+                assert (spectral_efficiency(opt, point).bits_per_dim
+                        >= spectral_efficiency(mmse, point).bits_per_dim), (beta, gamma)
+
+    def test_mmse_fading_does_not_fall_with_snr_at_the_largest_load(self):
+        # the residual x + (beta - 1) - beta E rounded at about beta eps
+        # and let 938 of these steps fall by more than 1e-14
+        scheme = SchemeSpec.parse("ds-mmse-fading")
+        gammas = [10.0 ** (-12.0 + 312.0 * i / 1999) for i in range(2000)]
+        values = [spectral_efficiency(scheme, ChannelPoint(1e4, g)).bits_per_dim for g in gammas]
+        for g, lower, upper in zip(gammas[1:], values, values[1:]):
+            assert upper >= lower * (1.0 - 2e-15), g
+
+
+# ----------------------------------------------------------------------
 # Asymptotic anchors
 # ----------------------------------------------------------------------
 
@@ -701,11 +736,8 @@ class TestSlopesAndFloor:
                 for beta in (1e-6, 0.3, 1.0, 5.0, 1e4):
                     assert beta / low_snr_slope(scheme, beta) <= (1.0 + beta) * (1.0 + 1e-15)
 
-    @pytest.mark.parametrize("name, beta, epsilon", [
-        pytest.param(*case, marks=pytest.mark.xfail(
-            strict=True, reason="the dense fixed point rounds at about beta * epsilon"))
-        if case == ("ds-mmse-fading", 1e4, 1e-9) else case
-        for case in itertools.product(SUPPORTED_SCHEMES, (1e-6, 1.0, 1e3, 1e4), (1e-9, 1e-6))])
+    @pytest.mark.parametrize("name, beta, epsilon", itertools.product(
+        SUPPORTED_SCHEMES, (1e-6, 1.0, 1e3, 1e4), (1e-9, 1e-6)))
     def test_floor_inversion_follows_the_wideband_slope(self, name, beta, epsilon):
         # eta = ln 2 (1 + epsilon) is reached at gamma = epsilon / q to first
         # order, q = beta / S0 (the wideband slope S0 of Verdu 2002)
@@ -767,22 +799,30 @@ class TestEtaConversions:
                                LN2 * (1.0 + 1e-9))
         assert 0.0 < gamma < 1e-6
 
-    # every scheme at loads 1e-6 and 1, and the dense ones at 1e4, where
-    # the fixed point's rounding at large loads sets the spread
-    FLOOR_CASES = ([(name, beta) for name in SUPPORTED_SCHEMES for beta in (1e-6, 1.0)]
-                   + [(name, 1e4) for name in SUPPORTED_SCHEMES if name.startswith("ds-")])
-
-    @pytest.mark.parametrize("name, beta", FLOOR_CASES)
-    @pytest.mark.parametrize("excess", [1e-9, 1e-3])
-    def test_warm_and_cold_roots_agree_near_the_floor(self, name, beta, excess):
-        # the root tolerance scales with eta - ln 2, so any start lands on
-        # the same gamma even where eta - ln 2 is 1e-9 of ln 2
+    @staticmethod
+    def _warm_cold_spread(name: str, beta: float, excess: float) -> float:
         scheme, eta = SchemeSpec.parse(name), LN2 * (1.0 + excess)
         cold = gamma_from_eta(scheme, beta, eta)
         roots = [cold] + [gamma_from_eta(scheme, beta, eta, guess=cold * factor)
                           for factor in (1.3, 0.02, 1e6)]
-        bound = 1e-8 if excess > 1e-9 else (1e-3 if beta > 1.0 else 1e-5)
-        assert (max(roots) - min(roots)) / cold <= bound
+        return (max(roots) - min(roots)) / cold
+
+    @pytest.mark.parametrize("name, beta", [
+        (name, beta) for name in SUPPORTED_SCHEMES for beta in (1e-6, 1.0)])
+    @pytest.mark.parametrize("excess", [1e-9, 1e-3])
+    def test_warm_and_cold_roots_agree_near_the_floor(self, name, beta, excess):
+        # the root tolerance scales with eta - ln 2, so any start lands on
+        # the same gamma even where eta - ln 2 is 1e-9 of ln 2
+        bound = 1e-8 if excess > 1e-9 else 1e-5
+        assert self._warm_cold_spread(name, beta, excess) <= bound
+
+    @pytest.mark.parametrize("name", DENSE_NAMES)
+    @pytest.mark.parametrize("excess", [1e-9, 1e-3])
+    def test_warm_and_cold_roots_agree_near_the_floor_at_the_largest_load(self, name, excess):
+        # the spread was 1.3e-4 for ds-mmse-fading at 1e-9 while its fixed
+        # point rounded at about beta * eps; it is 3.9e-7 now
+        bound = 1e-8 if excess > 1e-9 else 1e-5
+        assert self._warm_cold_spread(name, 1e4, excess) <= bound
 
     def test_below_floor_raises(self):
         scheme = SchemeSpec.parse("lds-sumf-fading")
